@@ -211,10 +211,10 @@ func BenchmarkAblation_ColdStart(b *testing.B) {
 //     replayed). The heavier fleet keeps cold simulation well above
 //     the warm path's per-cell decode cost now that the PR 9 kernel
 //     simulates small cells about as fast as their cache entries parse.
-//   - wire_bytes_per_cell / wire_v3_bytes_per_cell: what one of the
-//     sweep's cells costs on the wire under the v4 binary framing
-//     versus the v3 JSON framing, measured on the real request and
-//     response payloads (round histories included).
+//   - wire_bytes_per_cell: what one of the sweep's cells costs on the
+//     wire in batched, compressed envelope frames, measured on the
+//     real request and response payloads (round histories included).
+//     CI gates an absolute ceiling.
 //   - results_rss_bytes: the in-memory retention of recording the
 //     sweep's results in a buffered store — the bytes the streaming
 //     JSONL store keeps off the heap.
@@ -222,16 +222,15 @@ func BenchmarkAblation_ColdStart(b *testing.B) {
 //     cold 2-endpoint fleet sweep of warm-FedGPO cells over S
 //     scenarios must execute exactly S Q-table warm-ups fleet-wide —
 //     the affinity router co-locates each scenario's cells, the
-//     per-process singleflight dedups within an endpoint, and wire v5
+//     per-process singleflight dedups within an endpoint, and the wire
 //     ships the snapshot to any cell scheduled elsewhere. CI gates
 //     fleet_pretrain_runs == fleet_scenarios.
 //   - warm_ns_per_cell: the warm rerun's absolute per-cell cost —
 //     the cache plane's replay latency on its own scale, not hidden
 //     inside a ratio against cold simulation time.
-//   - cache_bytes_per_cell / json_cache_bytes_per_cell: what one of
-//     the sweep's cells costs on disk under the binary cache envelope
-//     versus the legacy JSON envelope, measured on the real results
-//     (round histories included). CI gates binary <= 0.6x JSON.
+//   - cache_bytes_per_cell: what one of the sweep's cells costs on
+//     disk as a binary cache envelope, measured on the real results
+//     (round histories included). CI gates an absolute ceiling.
 //   - key_allocs_per_op: heap allocations of one warm-path key
 //     resolution (AppendKey into a reused buffer + in-place SHA-256 +
 //     shard placement). CI gates this at exactly zero.
@@ -317,10 +316,10 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 	}
 	// wireAndStore measures the data-plane metrics on the sweep's real
 	// cells: encode every request and its actual result both ways for
-	// bytes-per-cell (wire framing v3 vs v4, and cache envelope JSON vs
-	// binary), and record the results in a buffered store for the
-	// retention footprint the streaming store avoids.
-	wireAndStore := func() (v3, v4, rss, jsonCache, binCache float64) {
+	// bytes-per-cell (wire frames and cache envelopes), and record the
+	// results in a buffered store for the retention footprint the
+	// streaming store avoids.
+	wireAndStore := func() (wireBytes, rss, cacheBytes float64) {
 		rt, err := exp.NewRuntime(0, "")
 		if err != nil {
 			b.Fatal(err)
@@ -338,17 +337,17 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 		for i, r := range results {
 			resps[i] = runtime.WireResponse{Key: r.Key, Result: r}
 		}
-		v3, v4, err = runtime.WireBytesPerCell(reqs, resps, 8)
+		wireBytes, err = runtime.WireBytesPerCell(reqs, resps, 8)
 		if err != nil {
 			b.Fatal(err)
 		}
-		jsonCache, binCache, err = runtime.CacheBytesPerCell(results)
+		cacheBytes, err = runtime.CacheBytesPerCell(results)
 		if err != nil {
 			b.Fatal(err)
 		}
 		store := runtime.NewStore()
 		store.Add(results...)
-		return v3, v4, float64(store.RetainedBytes()), jsonCache, binCache
+		return wireBytes, float64(store.RetainedBytes()), cacheBytes
 	}
 	// keyAllocs measures the per-job canonical-key resolution the
 	// executor performs on the warm path — AppendKey into a reused
@@ -526,7 +525,7 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 		cold += cached(dir)
 		warm += cached(dir)
 	}
-	v3Bytes, v4Bytes, rssBytes, jsonCacheBytes, binCacheBytes := wireAndStore()
+	wireBytes, rssBytes, cacheBytes := wireAndStore()
 	fleetRuns, fleetScens, hitRate := fleetReuse()
 	keyAllocsPerOp := keyAllocs()
 	simAllocs, simNs := simKernel()
@@ -537,24 +536,22 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 		innerSpeedup = innerOff.Seconds() / innerOn.Seconds()
 	}
 	metrics := map[string]float64{
-		"fleet_pretrain_runs":       fleetRuns,
-		"fleet_scenarios":           fleetScens,
-		"affinity_hit_rate":         hitRate,
-		"speedup_x":                 serial.Seconds() / parallel.Seconds(),
-		"inner_speedup_x":           innerSpeedup,
-		"fig11_seconds":             figTime.Seconds() / float64(b.N),
-		"pretrain_warmups":          float64(warmups),
-		"workers":                   float64(cores),
-		"warm_speedup_x":            cold.Seconds() / warm.Seconds(),
-		"warm_ns_per_cell":          float64(warm.Nanoseconds()) / float64(b.N*len(params)),
-		"wire_bytes_per_cell":       v4Bytes,
-		"wire_v3_bytes_per_cell":    v3Bytes,
-		"results_rss_bytes":         rssBytes,
-		"cache_bytes_per_cell":      binCacheBytes,
-		"json_cache_bytes_per_cell": jsonCacheBytes,
-		"key_allocs_per_op":         keyAllocsPerOp,
-		"sim_allocs_per_round":      simAllocs,
-		"sim_ns_per_round":          simNs,
+		"fleet_pretrain_runs":  fleetRuns,
+		"fleet_scenarios":      fleetScens,
+		"affinity_hit_rate":    hitRate,
+		"speedup_x":            serial.Seconds() / parallel.Seconds(),
+		"inner_speedup_x":      innerSpeedup,
+		"fig11_seconds":        figTime.Seconds() / float64(b.N),
+		"pretrain_warmups":     float64(warmups),
+		"workers":              float64(cores),
+		"warm_speedup_x":       cold.Seconds() / warm.Seconds(),
+		"warm_ns_per_cell":     float64(warm.Nanoseconds()) / float64(b.N*len(params)),
+		"wire_bytes_per_cell":  wireBytes,
+		"results_rss_bytes":    rssBytes,
+		"cache_bytes_per_cell": cacheBytes,
+		"key_allocs_per_op":    keyAllocsPerOp,
+		"sim_allocs_per_round": simAllocs,
+		"sim_ns_per_round":     simNs,
 	}
 	for name, v := range metrics {
 		b.ReportMetric(v, name)

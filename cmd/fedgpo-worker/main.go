@@ -1,9 +1,10 @@
 // Command fedgpo-worker is the execution half of the distributed shard
 // coordinator (-backend=procs / -workers on the fedgpo CLIs). It
-// speaks the runtime package's wire protocol — a hello frame
-// advertising protocol version, cache-key scheme, capacity and cache
-// directory, then one JSON WireResponse per WireRequest, in request
-// order — over one of two transports:
+// speaks the runtime package's wire protocol (version 6) —
+// length-prefixed, compressed JSON frames: a hello advertising protocol
+// version, cache-key scheme, capacity and cache directory, then one
+// response frame per requested spec, in request order, for every
+// batched request frame — over one of two transports:
 //
 //   - stdio (default): one session on stdin/stdout, normally spawned
 //     by a coordinator, one subprocess per local session;
@@ -20,8 +21,7 @@
 // fine — the coordinator persists those results itself. The worker
 // never prunes the cache; eviction is the coordinator's startup job.
 //
-// Under protocol v5 the worker also participates in fleet-wide
-// pretrain-snapshot reuse: a cell that builds a fresh
+// The worker also participates in fleet-wide pretrain-snapshot reuse: a cell that builds a fresh
 // pretrained-controller snapshot returns the serialized artifact with
 // its response, and coordinator-pushed artifacts (WireRequest.Snaps)
 // are installed into the pool's pretrain cache so co-scheduled warm

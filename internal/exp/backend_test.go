@@ -7,6 +7,7 @@ import (
 	"net"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,50 @@ func startWorkerPool(t *testing.T, capacity int, cacheDir string) (string, func(
 		case <-time.After(10 * time.Second):
 			t.Error("worker pool did not drain")
 		}
+	}
+}
+
+// A listening worker decodes specs off the wire, so an oversized spec
+// is untrusted input: the endpoint must answer it with an error result
+// — never allocate for it and crash — and go on to serve the next
+// request in the same frame.
+func TestServeRejectsOversizedSpecAndServesNext(t *testing.T) {
+	addr, shutdown := startWorkerPool(t, 1, "")
+	defer shutdown()
+	rt, err := NewRuntime(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := simSpec(Tiny().apply(Ideal(workload.CNNMNIST())), staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	bad := good
+	bad.Scenario.Fleet = FleetSpec{Size: 2_000_000_000}
+	var reqs []runtime.WireRequest
+	for _, sp := range []JobSpec{bad, good} {
+		j := rt.Job(sp)
+		reqs = append(reqs, runtime.WireRequest{Key: j.Key(), Spec: j.Payload})
+	}
+
+	conn, err := (&runtime.TCPTransport{Addr: addr}).Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SendBatch(reqs); err != nil {
+		t.Fatal(err)
+	}
+	var resps []runtime.WireResponse
+	for len(resps) < len(reqs) {
+		got, err := conn.RecvBatch()
+		if err != nil {
+			t.Fatalf("endpoint stopped answering after %d responses: %v", len(resps), err)
+		}
+		resps = append(resps, got...)
+	}
+	if r := resps[0]; r.Key != reqs[0].Key || !strings.Contains(r.Result.Err, "exceeds") {
+		t.Errorf("oversized spec answered %+v, want an error result naming the ceiling", r.Result)
+	}
+	if r := resps[1]; r.Key != reqs[1].Key || r.Result.Err != "" || r.Result.Sim.PPW <= 0 {
+		t.Errorf("next request answered %+v, want a successful simulation", r.Result)
 	}
 }
 

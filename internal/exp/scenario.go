@@ -49,8 +49,16 @@ type FleetSpec struct {
 	Mix device.FleetComposition `json:"mix,omitempty"`
 	// Size, when positive, proportionally rescales Mix to this total
 	// (device.FleetComposition.Scale); zero keeps Mix's own total.
+	// Validate caps the resolved fleet at MaxFleetDevices.
 	Size int `json:"size,omitempty"`
 }
+
+// MaxFleetDevices caps a fleet spec's total device count. Every device
+// holds per-round simulation state, so specs arriving from flags,
+// scenario files or the wire must not be able to demand unbounded
+// memory. The cap sits well above every fleet the repo runs — the
+// paper's 200 devices and the bench's 3000-participant probe.
+const MaxFleetDevices = 100_000
 
 // Composition resolves the spec into the concrete per-category counts.
 func (f FleetSpec) Composition() device.FleetComposition {
@@ -75,8 +83,17 @@ func (f FleetSpec) Validate() error {
 	if f.Size < 0 {
 		return fmt.Errorf("exp: fleet size must be non-negative, got %d", f.Size)
 	}
-	if f.Composition().Total() <= 0 {
+	// Bound every input before resolving, so the mix total cannot
+	// overflow on its way to the check.
+	if f.Size > MaxFleetDevices || f.Mix.High > MaxFleetDevices || f.Mix.Mid > MaxFleetDevices || f.Mix.Low > MaxFleetDevices {
+		return fmt.Errorf("exp: fleet exceeds %d devices", MaxFleetDevices)
+	}
+	total := f.Composition().Total()
+	if total <= 0 {
 		return fmt.Errorf("exp: fleet resolves to zero devices")
+	}
+	if total > MaxFleetDevices {
+		return fmt.Errorf("exp: fleet of %d devices exceeds %d", total, MaxFleetDevices)
 	}
 	return nil
 }
@@ -358,16 +375,25 @@ type ScenarioSpec struct {
 	Interference InterferenceSpec `json:"interference,omitempty"`
 	// Deadline is the straggler-drop policy.
 	Deadline DeadlineSpec `json:"deadline,omitempty"`
-	// MaxRounds bounds each run (0 = default 400).
+	// MaxRounds bounds each run (0 = default 400). Validate caps it at
+	// MaxScenarioRounds.
 	MaxRounds int `json:"maxRounds,omitempty"`
 }
+
+// MaxScenarioRounds caps a scenario's round budget, and the oracle
+// probe and warm-up round counts a job spec carries. A run
+// preallocates its round history and per-round accumulators up front,
+// so an untrusted spec must not be able to demand unbounded memory.
+// The cap sits far above every budget the repo runs (at most the
+// paper's 400).
+const MaxScenarioRounds = 10_000
 
 // Validate reports malformed scenario specs, checking the workload and
 // every sub-spec so a bad wire spec fails at decode time rather than
 // mid-job.
 func (s ScenarioSpec) Validate() error {
-	if s.MaxRounds < 0 {
-		return fmt.Errorf("exp: MaxRounds must be non-negative, got %d", s.MaxRounds)
+	if s.MaxRounds < 0 || s.MaxRounds > MaxScenarioRounds {
+		return fmt.Errorf("exp: MaxRounds must be in [0, %d], got %d", MaxScenarioRounds, s.MaxRounds)
 	}
 	for _, err := range []error{
 		s.Workload.Validate(), s.Fleet.Validate(), s.Partition.Validate(),

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,6 +163,10 @@ func TestScenarioSpecValidation(t *testing.T) {
 		"negative deadline":  {Workload: w, Deadline: DeadlineSpec{Kind: DeadlineFixed, Seconds: -3}},
 		"negative rounds":    {Workload: w, MaxRounds: -1},
 		"empty fleet":        {Workload: w, Fleet: FleetSpec{Mix: device.FleetComposition{}, Size: -1}},
+		"oversized rounds":   {Workload: w, MaxRounds: MaxScenarioRounds + 1},
+		"oversized fleet":    {Workload: w, Fleet: FleetSpec{Size: MaxFleetDevices + 1}},
+		"oversized mix":      {Workload: w, Fleet: FleetSpec{Mix: device.FleetComposition{High: MaxFleetDevices, Mid: 1, Low: 1}}},
+		"overflowing mix":    {Workload: w, Fleet: FleetSpec{Mix: device.FleetComposition{High: math.MaxInt, Mid: math.MaxInt, Low: 2}}},
 	}
 	for label, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -259,6 +265,27 @@ func TestScenarioMatrix(t *testing.T) {
 		if _, err := ScenarioMatrix(w, bad); err == nil {
 			t.Errorf("matrix %q should fail to parse", bad)
 		}
+	}
+}
+
+// Matrix axes are untrusted input: a fleet or round budget past the
+// resource ceilings must come back as a clear error, not as a fatal
+// out-of-memory crash mid-sweep.
+func TestScenarioMatrixRejectsOversizedSpecs(t *testing.T) {
+	w := workload.CNNMNIST()
+	for matrix, want := range map[string]string{
+		"fleet=2000000000;rounds=60":    fmt.Sprintf("exceeds %d devices", MaxFleetDevices),
+		"fleet=H2000000000:M0:L0":       fmt.Sprintf("exceeds %d devices", MaxFleetDevices),
+		"fleet=20;rounds=2000000000":    fmt.Sprintf("MaxRounds must be in [0, %d]", MaxScenarioRounds),
+		"fleet=20,2000000000;rounds=60": "fleet=2000000000",
+	} {
+		_, err := ScenarioMatrix(w, matrix)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("matrix %q: error = %v, want mention of %q", matrix, err, want)
+		}
+	}
+	if _, err := ScenarioMatrix(w, fmt.Sprintf("fleet=%d;rounds=%d", MaxFleetDevices, MaxScenarioRounds)); err != nil {
+		t.Errorf("matrix at the ceilings rejected: %v", err)
 	}
 }
 

@@ -200,6 +200,11 @@ func (sp JobSpec) validate() error {
 	if err := sp.Scenario.Validate(); err != nil {
 		return err
 	}
+	for _, n := range []int{sp.ProbeRounds, sp.Contender.WarmRounds} {
+		if n < 0 || n > MaxScenarioRounds {
+			return fmt.Errorf("exp: probe and warm-up rounds must be in [0, %d], got %d", MaxScenarioRounds, n)
+		}
+	}
 	return sp.Contender.validate()
 }
 
@@ -329,7 +334,7 @@ func (r *Runtime) Execute(sp JobSpec) runtime.Result {
 		panic("exp: unknown job kind " + sp.Kind)
 	}
 	// If this job's warm-up built a fresh pretrain snapshot, the first
-	// result sharing its key carries the artifact out (wire v5 ships it
+	// result sharing its key carries the artifact out (the wire ships it
 	// fleet-wide). Observational only: Sim bytes are untouched.
 	r.attachBuiltSnapshot(sp, &res)
 	return res
@@ -445,7 +450,7 @@ func fedgpoWarmContender(s ScenarioSpec) ContenderSpec {
 // FedGPOWarmContender exposes the warm-started FedGPO contender to
 // external harnesses (the repo's benchmark suite) that assemble
 // explicit JobSpecs — the contender whose per-scenario warm-up the
-// affinity router co-locates and whose snapshot wire v5 ships.
+// affinity router co-locates and whose snapshot the wire ships.
 func FedGPOWarmContender(s ScenarioSpec) ContenderSpec {
 	return fedgpoWarmContender(s)
 }

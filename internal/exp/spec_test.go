@@ -3,6 +3,7 @@ package exp
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -142,6 +143,17 @@ func TestDecodeJobSpecRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := DecodeJobSpec([]byte(payload)); err == nil {
 			t.Errorf("%s: decode should fail", name)
+		}
+	}
+	// Round counts past the ceiling are rejected wherever a spec
+	// carries them, not only in the scenario.
+	probe := simSpec(Tiny().apply(Ideal(workload.CNNMNIST())), staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	probe.ProbeRounds = MaxScenarioRounds + 1
+	warm := simSpec(Tiny().apply(Ideal(workload.CNNMNIST())), staticContender(fl.Params{B: 8, E: 10, K: 20}, ""), 1)
+	warm.Contender.WarmRounds = -1
+	for name, sp := range map[string]JobSpec{"oversized probe rounds": probe, "negative warm-up rounds": warm} {
+		if _, err := DecodeJobSpec(EncodeJobSpec(sp)); err == nil || !strings.Contains(err.Error(), "rounds must be in") {
+			t.Errorf("%s: decode error = %v, want a rounds-range rejection", name, err)
 		}
 	}
 }

@@ -152,7 +152,7 @@ func (q *affinityQueue) pop(ep int) (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if i, ok := q.popOwn(ep); ok {
+		if i, ok := q.popOwn(ep, true); ok {
 			return i, true
 		}
 		if i, ok := q.popSteal(ep); ok {
@@ -165,9 +165,12 @@ func (q *affinityQueue) pop(ep int) (int, bool) {
 	}
 }
 
-// popOwn serves ep from its own groups, then from overflow. Called
-// with mu held.
-func (q *affinityQueue) popOwn(ep int) (int, bool) {
+// popOwn serves ep from its own groups, then from overflow. claim
+// allows starting (touching) a group nobody has started yet; the frame
+// top-up passes false, so one request frame never claims a second
+// group — a home endpoint straggling inside one group's warm-up leaves
+// its other groups whole and adoptable. Called with mu held.
+func (q *affinityQueue) popOwn(ep int, claim bool) (int, bool) {
 	if ep < 0 || ep >= len(q.byEp) {
 		ep = 0
 		if len(q.byEp) == 0 {
@@ -175,8 +178,8 @@ func (q *affinityQueue) popOwn(ep int) (int, bool) {
 		}
 	}
 	for _, g := range q.byEp[ep] {
-		if g.home != ep || len(g.jobs) == 0 {
-			continue // migrated away, or drained
+		if g.home != ep || len(g.jobs) == 0 || !(claim || g.touched) {
+			continue // migrated away, drained, or not ours to start yet
 		}
 		g.touched = true
 		q.tallies[ep].affinityHits++
@@ -261,15 +264,16 @@ func (q *affinityQueue) shift(g *affGroup) int {
 	return i
 }
 
-// take removes up to k more jobs for ep without blocking or stealing —
-// the frame top-up. Serving own groups first packs same-key cells into
-// the same frame (and the same worker process).
+// take removes up to k more jobs for ep without blocking, stealing or
+// starting a new group — the frame top-up. Serving own started groups
+// first packs same-key cells into the same frame (and the same worker
+// process).
 func (q *affinityQueue) take(ep, k int) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out []int
 	for len(out) < k {
-		i, ok := q.popOwn(ep)
+		i, ok := q.popOwn(ep, false)
 		if !ok {
 			break
 		}

@@ -353,7 +353,7 @@ func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func
 	}
 }
 
-// Wire v5 end to end: a worker-built snapshot artifact returns with
+// Snapshot shipping end to end: a worker-built snapshot artifact returns with
 // its response, the coordinator pools and persists it under its own
 // cache key, and a later batch for the same affinity key pre-pushes
 // the artifact to a worker process not known to hold it — metered in

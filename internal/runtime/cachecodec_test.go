@@ -134,10 +134,25 @@ func TestKeyResolutionZeroAllocs(t *testing.T) {
 	_ = shard
 }
 
-// A cache directory written by the legacy JSON codec must serve a warm
-// rerun hit-only (zero sims), and every entry the rerun reads must be
-// migrated in place to the binary format.
-func TestLegacyJSONCacheWarmsAndMigrates(t *testing.T) {
+// legacyJSONEnvelope renders the <hash>.json entry format older builds
+// wrote: the canonical key beside the payload in one JSON object.
+func legacyJSONEnvelope(t *testing.T, key string, payload []byte) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Key     string          `json:"key"`
+		Payload json.RawMessage `json:"payload"`
+	}{key, payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// A legacy <hash>.json entry left by an older build is not a cache
+// entry: a rerun over such a directory counts clean misses (not
+// corrupt reads), re-simulates every cell into fresh .binz entries,
+// and leaves the old files alone.
+func TestLegacyJSONCacheEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
@@ -155,8 +170,7 @@ func TestLegacyJSONCacheWarmsAndMigrates(t *testing.T) {
 	if NewExecutor(2, cache).RunAll(jobs); runs.Load() != int64(len(jobs)) {
 		t.Fatalf("cold run executed %d cells, want %d", runs.Load(), len(jobs))
 	}
-	// Rewrite every entry as the legacy JSON envelope an older build
-	// would have left behind.
+	// Rewrite every entry in the legacy JSON envelope format.
 	for _, j := range jobs {
 		hash := j.Hash()
 		b, err := os.ReadFile(filepath.Join(dir, hash+binExt))
@@ -167,11 +181,7 @@ func TestLegacyJSONCacheWarmsAndMigrates(t *testing.T) {
 		if !ok {
 			t.Fatal("cold entry did not decode")
 		}
-		legacy, err := json.Marshal(envelope{Key: j.Key(), Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, hash+legacyExt), legacy, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, hash+".json"), legacyJSONEnvelope(t, j.Key(), payload), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Remove(filepath.Join(dir, hash+binExt)); err != nil {
@@ -179,106 +189,96 @@ func TestLegacyJSONCacheWarmsAndMigrates(t *testing.T) {
 		}
 	}
 
-	warmCache, err := NewCache(dir)
+	rerunCache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := telemetry.NewCollector()
-	warmCache.SetCollector(col)
-	e := NewExecutor(2, warmCache)
-	results := e.RunAll(jobs)
-	if runs.Load() != int64(len(jobs)) {
-		t.Errorf("warm rerun executed %d extra cells, want 0", runs.Load()-int64(len(jobs)))
+	rerunCache.SetCollector(col)
+	results := NewExecutor(2, rerunCache).RunAll(jobs)
+	if runs.Load() != 2*int64(len(jobs)) {
+		t.Errorf("rerun executed %d cells, want all %d re-simulated", runs.Load()-int64(len(jobs)), len(jobs))
 	}
 	for i, r := range results {
-		if !r.Cached || r.Sim.PPW != float64(i)+0.5 {
-			t.Errorf("result %d not served from legacy cache: %+v", i, r)
+		if r.Cached || r.Sim.PPW != float64(i)+0.5 {
+			t.Errorf("result %d = %+v, want a fresh simulation", i, r)
 		}
 	}
 	c := col.Snapshot().Counters
-	if c.CacheDiskHits != int64(len(jobs)) || c.CacheMisses != 0 || c.CacheCorrupt != 0 {
-		t.Errorf("warm counters = %d disk hits / %d misses / %d corrupt, want %d/0/0",
-			c.CacheDiskHits, c.CacheMisses, c.CacheCorrupt, len(jobs))
+	if c.CacheMisses != int64(len(jobs)) || c.CacheDiskHits != 0 || c.CacheCorrupt != 0 {
+		t.Errorf("rerun counters = %d misses / %d disk hits / %d corrupt, want %d/0/0",
+			c.CacheMisses, c.CacheDiskHits, c.CacheCorrupt, len(jobs))
 	}
-	// Every served entry migrated: binary present, legacy gone.
 	for _, j := range jobs {
 		hash := j.Hash()
 		if _, err := os.Stat(filepath.Join(dir, hash+binExt)); err != nil {
-			t.Errorf("entry %s not migrated to binary: %v", hash[:8], err)
+			t.Errorf("entry %s not rewritten as .binz: %v", hash[:8], err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, hash+legacyExt)); !os.IsNotExist(err) {
-			t.Errorf("legacy entry %s not retired after migration", hash[:8])
+		if _, err := os.Stat(filepath.Join(dir, hash+".json")); err != nil {
+			t.Errorf("legacy file %s touched: %v", hash[:8], err)
 		}
-	}
-	// And the migrated entries still serve a fresh cache.
-	c3, _ := NewCache(dir)
-	var got Result
-	if !c3.Get(jobs[2].Key(), &got) || got.Sim.PPW != 2.5 {
-		t.Errorf("migrated entry does not round-trip: %+v", got)
 	}
 }
 
-// Prune's byte budget covers both envelope formats in one
-// oldest-mtime-first order: a directory mid-migration evicts by age,
-// not by format.
+// Prune's byte budget covers .binz entries only: a legacy .json file
+// in a directory written by an older build is neither counted against
+// the budget nor evicted, so binary entries are pruned exactly as if
+// it were absent.
 func TestCachePruneMixedFormats(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Four entries, oldest first, alternating legacy/binary; pad the
-	// payloads to a common size so the budget arithmetic is exact.
+	// Three binary entries, oldest first, padded to a common size so the
+	// budget arithmetic is exact.
 	pad := bytes.Repeat([]byte("x"), 2048)
-	keys := make([]string, 4)
-	paths := make([]string, 4)
-	sizes := make([]int64, 4)
+	keys := make([]string, 3)
+	paths := make([]string, 3)
+	var entrySize int64
 	for i := range keys {
 		keys[i] = fmt.Sprintf("mixed|cell-%d", i)
 		hash := HashKey(keys[i])
-		payload, err := json.Marshal(Result{Key: keys[i], Sim: fl.Result{PPW: float64(i)}, Err: string(pad)})
-		if err != nil {
+		if err := cache.PutHashed(keys[i], hash, Result{Key: keys[i], Sim: fl.Result{PPW: float64(i)}, Err: string(pad)}); err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
-			legacy, err := json.Marshal(envelope{Key: keys[i], Payload: payload})
-			if err != nil {
-				t.Fatal(err)
-			}
-			paths[i] = filepath.Join(dir, hash+legacyExt)
-			if err := os.WriteFile(paths[i], legacy, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := cache.PutHashed(keys[i], hash, json.RawMessage(payload)); err != nil {
-				t.Fatal(err)
-			}
-			paths[i] = filepath.Join(dir, hash+binExt)
-		}
+		paths[i] = filepath.Join(dir, hash+binExt)
 		info, err := os.Stat(paths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[i] = info.Size()
+		entrySize = info.Size()
 		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
 		if err := os.Chtimes(paths[i], mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Budget for exactly the two newest entries — one of each format
-	// survives; the formats' different sizes count as stored.
-	removed, err := cache.Prune(sizes[2] + sizes[3])
+	// The legacy file is the oldest and largest file in the directory.
+	legacy := filepath.Join(dir, HashKey("mixed|legacy")+".json")
+	if err := os.WriteFile(legacy, legacyJSONEnvelope(t, "mixed|legacy", bytes.Repeat([]byte("1"), 8192)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-24 * time.Hour)
+	if err := os.Chtimes(legacy, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	// Budget for exactly the two newest binary entries.
+	removed, err := cache.Prune(2 * entrySize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("pruned %d entries, want 2", removed)
+	if removed != 1 {
+		t.Errorf("pruned %d entries, want 1", removed)
 	}
-	for i, wantAlive := range []bool{false, false, true, true} {
+	for i, wantAlive := range []bool{false, true, true} {
 		_, err := os.Stat(paths[i])
 		if alive := err == nil; alive != wantAlive {
-			t.Errorf("entry %d (format %s) alive=%v, want %v", i, filepath.Ext(paths[i]), alive, wantAlive)
+			t.Errorf("entry %d alive=%v, want %v", i, alive, wantAlive)
 		}
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("legacy .json file evicted: %v", err)
 	}
 }
 
@@ -396,9 +396,9 @@ func TestTouchCoalescingAndFlush(t *testing.T) {
 	}
 }
 
-// The binary envelope must actually be smaller than the legacy JSON
-// envelope on representative payloads — the property the CI gate
-// (cache_bytes_per_cell <= 0.6x json) pins on real sweep results.
+// The binary envelope must actually be smaller than the result's own
+// JSON payload on representative round histories — the compression
+// the cache_bytes_per_cell ceiling relies on.
 func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 	history := make([]fl.RoundRecord, 200)
 	for i := range history {
@@ -407,18 +407,22 @@ func TestBinaryEnvelopeSmallerThanJSON(t *testing.T) {
 			RoundSeconds: 12.5, EnergyJ: 480.25, PlannedK: 10, AggregatedK: 9,
 		}
 	}
-	results := []Result{{
+	res := Result{
 		Key: "v3|sim|size-check|static/(8,10,20)|seed=1",
 		Sim: fl.Result{PPW: 4.2, Converged: true, History: history},
-	}}
-	jsonBytes, binBytes, err := CacheBytesPerCell(results)
+	}
+	payload, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jsonBytes == 0 || binBytes == 0 {
+	binBytes, err := CacheBytesPerCell([]Result{res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binBytes == 0 {
 		t.Fatal("size meter returned zero")
 	}
-	if binBytes >= jsonBytes {
-		t.Errorf("binary envelope (%.0f B) not smaller than JSON (%.0f B)", binBytes, jsonBytes)
+	if binBytes >= float64(len(payload)) {
+		t.Errorf("binary envelope (%.0f B) not smaller than the payload JSON (%d B)", binBytes, len(payload))
 	}
 }

@@ -85,7 +85,7 @@
 //     (default GOMAXPROCS) pull job indices from a shared channel and
 //     run the job bodies with per-job panic isolation.
 //
-//   - Coordinator (ProcBackend): the distributed shard coordinator
+//   - Coordinator: the distributed shard coordinator
 //     behind the CLIs' -backend=procs and -workers flags. It executes
 //     batches across worker endpoints reached through Transports —
 //     local subprocess pools, remote TCP worker pools, or both in one
@@ -95,15 +95,14 @@
 //
 // # Transports
 //
-// A Transport dials wire sessions (Conn: Send/Recv/Close) to one
-// worker endpoint:
+// A Transport dials wire sessions (Conn: Hello/SendBatch/RecvBatch/
+// Close) to one worker endpoint:
 //
 //   - StdioTransport spawns one fedgpo-worker subprocess per session
 //     and speaks the protocol over its stdin/stdout; the coordinator
-//     runs cfg.Procs concurrent sessions against it. This is the PR 3
-//     procs backend, behavior-preserved: one process per session, a
-//     crashed worker fails only its own session, a retry lands on a
-//     fresh process.
+//     runs cfg.Procs concurrent sessions against it. One process per
+//     session: a crashed worker fails only its own session, and a
+//     retry lands on a fresh process.
 //
 //   - TCPTransport connects to a long-lived remote pool started with
 //     `fedgpo-worker -listen host:port` (one wire session per TCP
@@ -112,82 +111,67 @@
 //     drains gracefully on SIGTERM: in-flight jobs finish and deliver
 //     their responses before the process exits.
 //
-// Every session opens with a handshake: the worker speaks first,
-// sending a hello frame
+// # Wire protocol
 //
-//	{"hello": true, "proto": 3, "maxProto": 4, "keyVersion": "v3",
+// Coordinator and worker build from one module and always ship
+// together, so there is exactly one protocol (ProtoVersion, 6) and no
+// negotiation. Every message in both directions is one frame of the
+// wire package's binary framing: a 4-byte big-endian length prefix
+// followed by that many bytes of DEFLATE-compressed JSON, bounded on
+// both axes (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes
+// decompressed) before anything is allocated.
+//
+// The worker speaks first. Its first frame is the hello
+//
+//	{"hello": true, "proto": 6, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
-// which the coordinator validates before dispatching anything. A
-// protocol-version or cache-key-scheme mismatch rejects the endpoint
-// outright — a worker computing cells under a different key layout
-// would otherwise publish wrong results into the shared cache. The
-// advertised cacheDir decides write-back ownership: results from a
-// worker sharing the coordinator's cache directory arrive marked
-// Persisted (the worker already published them), while results from
-// workers caching elsewhere — typical for remote pools — are written
-// by the coordinator's executor, so warm -cachedir reruns are
-// hit-only no matter where the cells originally ran.
+// which the coordinator validates before dispatching anything. Any
+// other proto, or a cache-key scheme other than the coordinator's,
+// rejects the endpoint outright — a worker computing cells under a
+// different key layout would otherwise publish wrong results into the
+// shared cache — and a peer whose first bytes are not a frame (an
+// older build's plain-JSON hello line, an unrelated service on the
+// port) is rejected as not a protocol-6 worker. The advertised
+// cacheDir decides write-back ownership: results from a worker sharing
+// the coordinator's cache directory arrive marked Persisted (the
+// worker already published them), while results from workers caching
+// elsewhere — typical for remote pools — are written by the
+// coordinator's executor, so warm -cachedir reruns are hit-only no
+// matter where the cells originally ran.
 //
-// # Protocol negotiation and v4 binary framing
-//
-// The hello's "proto" stays at the v3 baseline every coordinator since
-// PR 5 accepts; the upgrade rides in "maxProto", the highest
-// generation the worker speaks. A v4-capable coordinator answers a
-// v4-capable hello with a JSON ack frame
-//
-//	{"helloAck": true, "proto": 4}
-//
-// and both sides switch to the wire package's binary framing: each
-// frame is a 4-byte big-endian length prefix followed by that many
-// bytes of DEFLATE-compressed payload, bounded on both axes
-// (wire.MaxFrameBytes on the wire, wire.MaxPayloadBytes decompressed)
-// before anything is allocated. A v4 frame's payload is a JSON
-// envelope — {"reqs": [...]} toward the worker, {"resps": [...]} back.
-// Requests batch to amortize per-frame dispatch: the coordinator packs
-// up to each session's fair share of the batch (capped at 16 specs)
-// into one envelope. Responses stream: the worker answers every spec
-// the moment it finishes, one single-response envelope frame each, in
-// request order — so a worker death mid-frame costs only the specs it
-// had not yet answered, the exact failure granularity of the v3
-// one-spec-per-frame loop.
-//
-// Fallback is negotiated per session, both directions. A v3-only
-// worker (no maxProto in its hello) never sees an ack — its first
-// inbound frame is a plain WireRequest, exactly as before v4 existed —
-// and a v3-only coordinator ignores the unknown maxProto field and
-// never sends one; the worker distinguishes the two by its first
-// inbound frame. Mixed fleets are therefore fine: each endpoint speaks
-// the best generation both of its sides support, results are
-// byte-identical either way, and the per-endpoint Frames/Specs
-// counters record the realized batch density (always 1.0 on a
-// fallback session).
-//
-// On a v3 session (and inside every v4 envelope), each request is a
+// After the hello the coordinator sends request envelopes,
+// {"reqs": [...]}, and the worker answers with response envelopes,
+// {"resps": [...]}. Requests batch to amortize per-frame dispatch: the
+// coordinator packs up to each session's fair share of the batch
+// (capped at 16 specs) into one envelope. Responses stream: the worker
+// answers every spec the moment it finishes, one single-response
+// envelope each, in request order — so a worker death mid-frame costs
+// only the specs it had not yet answered. Each request is a
 // WireRequest:
 //
-//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N}
+//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N,
+//	 "snaps": [<pretrain snapshot artifacts>, omitted when empty]}
 //
 // and each reply a WireResponse, strictly one per request in request
 // order:
 //
 //	{"key": "<canonical job key>", "result": <result JSON>, "cached": bool,
-//	 "metrics": <telemetry.Metrics JSON, omitted when absent>}
+//	 "metrics": <telemetry.Metrics JSON, omitted when absent>,
+//	 "snaps": [<snapshots the job built>, omitted when empty]}
 //
 // The worker decodes the spec, verifies it addresses the dispatched
 // key, and executes it through its own Executor — same cache check,
 // same panic isolation, same cache write-back as the pool path. The
 // "cached" field travels beside the result because Result.Cached is
 // deliberately excluded from result JSON; the coordinator folds it
-// into its own hit/run statistics. The "metrics" field (protocol
-// version 3) carries the worker's per-job telemetry snapshot the same
-// way — Result.Telemetry is likewise excluded from result JSON, so
-// neither field can ever reach a cache entry. Whitespace between frames (blank
-// lines from wrapper scripts) is tolerated, and a malformed frame
-// fails the session naming the offending frame index. Worker stderr
-// passes through to the coordinator's stderr. ServeWorker/ServeSession
-// implement the worker side and Serve the TCP accept loop, so any
-// binary can join the protocol.
+// into its own hit/run statistics. The "metrics" field carries the
+// worker's per-job telemetry snapshot the same way — Result.Telemetry
+// is likewise excluded from result JSON, so neither field can ever
+// reach a cache entry. A malformed frame fails the session naming the
+// offending frame index. Worker stderr passes through to the
+// coordinator's stderr. ServeSession implements the worker side and
+// Serve the TCP accept loop, so any binary can join the protocol.
 //
 // The "inner" field is the wire-level worker budget (ROADMAP item e):
 // the per-round participant fan-out the worker should lend its cells.
@@ -215,10 +199,10 @@
 // connection exists until a session actually holds a job. Each
 // session has a retry budget of one: on failure (crash, disconnect,
 // reply timeout, truncated or out-of-order output) it re-dials and
-// resends only the unanswered in-flight job — answered jobs are never
-// resent, which matters because results were already streamed to the
-// executor. A session whose budget runs out hands its job back to the
-// queue for surviving endpoints to absorb; only when the whole fleet
+// resends only the unanswered tail of its in-flight frame — answered
+// jobs are never resent, which matters because results were already
+// streamed to the executor. A session whose budget runs out hands its
+// jobs back to the queue for surviving endpoints to absorb; only when the whole fleet
 // is gone do remaining jobs surface as error results. Per-endpoint
 // dispatch/retry/give-up counters are snapshotted into
 // Executor.Stats().Endpoints under a single lock.
@@ -305,22 +289,24 @@
 // pull); results are byte-identical either way, because routing only
 // decides where a cell runs, never what it computes.
 //
-// Protocol v5 (negotiated through the same maxProto handshake; v4 and
-// v3 peers interoperate unchanged) adds fleet-wide snapshot reuse. A
-// worker whose cell built a fresh pretrain snapshot returns the
-// serialized artifact with its response ("snaps" beside the result);
-// the coordinator pools it, persists it into its own cache under the
-// snapshot key (byte-identical to the entry the worker wrote locally,
-// both being the same JSON round-trip), and pre-pushes it inside
-// later requests for cells sharing that key dispatched at sessions
-// that do not already hold it — skipping endpoints that share the
-// coordinator's -cachedir, where the disk already carries the
-// snapshot. The worker installs pushed artifacts before running the
-// request, resolving its pretrain singleflight without executing the
-// warm-up. Pre-v5 sessions simply never see a "snaps" field in either
-// direction. Per-endpoint AffinityHits/AffinityMisses/Stolen tallies
-// and pushed-snapshot bytes land in the -v summaries and the
-// -metrics-out artifact beside the dispatch counters.
+// A request frame's top-up never starts a group its endpoint has not
+// started yet, so a home endpoint straggling inside one group's
+// warm-up leaves its other groups whole and adoptable.
+//
+// The wire also carries fleet-wide snapshot reuse. A worker whose cell
+// built a fresh pretrain snapshot returns the serialized artifact with
+// its response ("snaps" beside the result); the coordinator pools it,
+// persists it into its own cache under the snapshot key (byte-identical
+// to the entry the worker wrote locally, both being the same JSON
+// round-trip), and pre-pushes it inside later requests for cells
+// sharing that key dispatched at sessions that do not already hold it
+// — skipping endpoints that share the coordinator's -cachedir, where
+// the disk already carries the snapshot. The worker installs pushed
+// artifacts before running the request, resolving its pretrain
+// singleflight without executing the warm-up. Per-endpoint
+// AffinityHits/AffinityMisses/Stolen tallies and pushed-snapshot bytes
+// land in the -v summaries and the -metrics-out artifact beside the
+// dispatch counters.
 //
 // # Cache format
 //
@@ -337,19 +323,18 @@
 // inflating a byte and on-disk entries stay greppable by key; the
 // payload is one wire-package frame — the same bounded, length-
 // prefixed DEFLATE framing the transport plane uses — which carries a
-// cell's round history in roughly a quarter of the legacy JSON
-// envelope's bytes. Writes are atomic (temp file + rename, so a crash
+// cell's round history in roughly a quarter of its JSON bytes. Writes
+// are atomic (temp file + rename, so a crash
 // mid-write can never publish a torn entry). Any malformed file —
 // wrong magic, truncation, a key mismatch — is treated as a miss and
 // the cell re-runs, repairing the entry in place. Results that ended
 // in an error are never cached.
 //
-// Directories written by earlier versions hold <hash>.json envelopes
-// ({"key": ..., "payload": ...}); the read path falls back to them
-// transparently, so a pre-existing -cachedir serves a warm rerun
-// hit-only, and every legacy entry it serves is migrated in place to
-// the binary format (binary written, JSON removed). Disk hits also
-// pass through a byte-capped in-process LRU over decoded payload
+// .binz is the only entry format. A <hash>.json envelope left in a
+// directory by a build older than the binary codec is not read: its
+// cell is a miss that re-simulates and rewrites the entry as .binz,
+// and Prune neither counts nor removes the old file (delete stray
+// *.json files by hand to reclaim the space). Disk hits pass through a byte-capped in-process LRU over decoded payload
 // bytes (64 MB by default, Cache.SetPayloadCacheBytes), so a cell
 // re-read within one run — pretrain snapshots, shared sweep cells —
 // costs one file read. The layer admits disk hits only, never Put
@@ -360,9 +345,7 @@
 //
 // Disk entries no longer live forever: Cache.Prune (the CLIs'
 // -cache-max-bytes flag) removes entries oldest-mtime-first at
-// startup until the directory fits the byte budget; both envelope
-// formats count against the budget and compete in one mtime order.
-// A hit queues an mtime touch instead of paying the syscall inline:
+// startup until the directory fits the byte budget. A hit queues an mtime touch instead of paying the syscall inline:
 // duplicate touches coalesce, and the pending set drains at executor
 // shutdown (Executor.Close / exp.Runtime.Close), before a Prune scan,
 // or asynchronously past a threshold — so mtime order approximates
@@ -444,7 +427,7 @@
 //     and counts Retries and Failovers as sessions fail. Sessions
 //     meter raw bytes both ways (handshake included) and the
 //     coordinator folds the totals — plus request-frame and spec
-//     counts, whose ratio is the realized v4 batch density — into the
+//     counts, whose ratio is the realized batch density — into the
 //     per-endpoint stats the -v summaries print.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's

@@ -27,10 +27,10 @@ type WireRequest struct {
 	// byte-identical for any value, so it never enters cache keys.
 	Inner int `json:"inner,omitempty"`
 	// Snaps pre-pushes serialized pretrain snapshots the coordinator
-	// holds for this job's affinity key (protocol v5): the worker
-	// installs them before running, so a cell stolen or overflowed onto
-	// a cold endpoint deserializes the snapshot instead of re-running
-	// the warm-up. Purely an optimization — an ignored or failed install
+	// holds for this job's affinity key: the worker installs them
+	// before running, so a cell stolen or overflowed onto a cold
+	// endpoint deserializes the snapshot instead of re-running the
+	// warm-up. Purely an optimization — an ignored or failed install
 	// re-warms to the identical snapshot.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
@@ -42,20 +42,20 @@ type WireResponse struct {
 	Key    string `json:"key"`
 	Result Result `json:"result"`
 	Cached bool   `json:"cached,omitempty"`
-	// Metrics is the worker's per-job telemetry snapshot (protocol v3).
+	// Metrics is the worker's per-job telemetry snapshot.
 	// Like Cached it travels beside the result because Result.Telemetry
 	// is excluded from result JSON — cached bytes must not depend on
 	// whether telemetry was recorded. The coordinator folds it into its
 	// own collector, so remote pools are as observable as local ones.
 	Metrics *telemetry.Metrics `json:"metrics,omitempty"`
 	// Snaps returns pretrain snapshots this job's execution built from
-	// scratch (protocol v5; Result.Snaps, excluded from result JSON like
-	// Cached and Metrics). The coordinator persists them and pre-pushes
-	// them with later requests sharing the affinity key.
+	// scratch (Result.Snaps, excluded from result JSON like Cached and
+	// Metrics). The coordinator persists them and pre-pushes them with
+	// later requests sharing the affinity key.
 	Snaps []SnapshotArtifact `json:"snaps,omitempty"`
 }
 
-// wireEnvelope is the payload of one protocol-v4 binary frame: a batch
+// wireEnvelope is the payload of one request or response frame: a batch
 // of requests (coordinator to worker) or the matching batch of
 // responses, answered in request order. Exactly one of the two sides
 // is populated per frame.
@@ -75,119 +75,37 @@ type WorkerOptions struct {
 	// SetInner, when non-nil, applies coordinator-forwarded inner
 	// budgets (WireRequest.Inner) before each job runs.
 	SetInner func(n int)
-	// MaxProto caps the protocol generation advertised in the hello
-	// (0 advertises ProtoVersion). Tests pin ProtoV3 or ProtoV4 to
-	// exercise the fallbacks an older worker would negotiate.
-	MaxProto int
 	// Install, when non-nil, installs a coordinator-pushed snapshot
-	// artifact (WireRequest.Snaps, protocol v5) into the worker's
-	// pretrain cache before the request that carried it runs. Best
-	// effort: an install failure is ignored — the worker just re-warms,
-	// producing the identical snapshot.
+	// artifact (WireRequest.Snaps) into the worker's pretrain cache
+	// before the request that carried it runs. Best effort: an install
+	// failure is ignored — the worker just re-warms, producing the
+	// identical snapshot.
 	Install func(key string, data json.RawMessage) error
 }
 
-// ServeWorker runs the worker half of the wire protocol on a byte
-// stream with default options: hello first, then one WireResponse per
-// WireRequest, in request order, until EOF. run must not panic —
-// job-level failures belong in Result.Err (the worker binary routes
-// execution through an Executor, which isolates them).
-func ServeWorker(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result) error {
-	return ServeSession(r, w, run, WorkerOptions{})
-}
-
 // ServeSession runs one worker wire session: it sends the hello frame,
-// then serves requests from r until EOF, executing each via run and
-// answering in request order. The framing depends on what the far side
-// negotiates from the hello: a v4 coordinator opens with a helloAck
-// and the session switches to batched binary frames (see serveBatches);
-// a pre-v4 coordinator sends plain WireRequest JSON frames and gets
-// the v3 loop, whitespace between frames — blank lines, trailing
-// newlines from wrapper scripts — tolerated. Either way a malformed
-// frame fails the session with the offending frame's index in the
-// error.
+// then serves request envelopes from r until EOF. Every inbound frame
+// is a batch of requests, executed in order via run, and every
+// finished spec is answered immediately with its own response frame.
+// Requests batch to amortize dispatch; responses stream so a worker
+// death mid-batch only costs the specs it had not yet answered.
+// Coordinator-pushed snapshot artifacts are installed before the
+// request carrying them runs, and snapshots a job built travel back
+// with its response. A malformed frame fails the session with the
+// offending frame's index in the error. run must not panic — job-level
+// failures belong in Result.Err (the worker binary routes execution
+// through an Executor, which isolates them).
 func ServeSession(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result, opt WorkerOptions) error {
 	if opt.Capacity < 1 {
 		opt.Capacity = 1
 	}
-	maxProto := opt.MaxProto
-	if maxProto == 0 {
-		maxProto = ProtoVersion
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(WireHello{
-		Hello: true, Proto: ProtoV3, MaxProto: maxProto, KeyVersion: keyVersion,
+	hello, _ := json.Marshal(WireHello{
+		Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion,
 		Capacity: opt.Capacity, CacheDir: opt.CacheDir,
-	}); err != nil {
+	})
+	if _, err := wire.WriteFrame(w, hello); err != nil {
 		return fmt.Errorf("runtime: worker hello: %w", err)
 	}
-	dec := json.NewDecoder(r)
-	lastInner := 0
-	serve := func(req WireRequest, frame int) error {
-		if opt.SetInner != nil && req.Inner != lastInner {
-			opt.SetInner(req.Inner)
-			lastInner = req.Inner
-		}
-		res := run(req.Key, req.Spec)
-		if err := enc.Encode(WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry}); err != nil {
-			return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
-		}
-		return nil
-	}
-	// The first inbound frame decides the session generation: a
-	// coordinator that negotiated v4 sends a helloAck before anything
-	// else; one that didn't sends a plain request (or nothing at all).
-	var first struct {
-		HelloAck bool `json:"helloAck"`
-		Proto    int  `json:"proto"`
-		WireRequest
-	}
-	if err := dec.Decode(&first); err == io.EOF {
-		// json.Decoder skips whitespace before a value, so a clean EOF
-		// here also covers streams ending in blank lines or stray
-		// newlines.
-		return nil
-	} else if err != nil {
-		return fmt.Errorf("runtime: worker decode (frame 1): %w", err)
-	}
-	if first.HelloAck {
-		if first.Proto < ProtoV4 || first.Proto > maxProto {
-			return fmt.Errorf("runtime: worker handshake: coordinator acked unsupported protocol %d", first.Proto)
-		}
-		// The JSON decoder may have read ahead into the first binary
-		// frame; drain its buffer before the raw stream, and skip the
-		// newline the coordinator's ack encoder left behind.
-		return serveBatches(wire.Handoff(io.MultiReader(dec.Buffered(), r)), w, run, opt, first.Proto)
-	}
-	if err := serve(first.WireRequest, 1); err != nil {
-		return err
-	}
-	for frame := 2; ; frame++ {
-		var req WireRequest
-		if err := dec.Decode(&req); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("runtime: worker decode (frame %d): %w", frame, err)
-		}
-		if err := serve(req, frame); err != nil {
-			return err
-		}
-	}
-}
-
-// serveBatches runs the protocol v4/v5 worker loop: every inbound
-// frame is a compressed envelope of batched requests, executed in
-// order, and every finished spec is answered immediately with its own
-// response frame. Requests batch to amortize dispatch; responses
-// stream so a worker death mid-batch only costs the specs it had not
-// yet answered — the same failure granularity as the v3
-// one-spec-per-frame loop. Under a negotiated v5 session the worker
-// additionally installs coordinator-pushed snapshot artifacts before
-// each request runs and attaches freshly built snapshots to the
-// response (v4 coordinators never see the Snaps fields). Frame indexes
-// restart at 1 on both sides at the binary handoff (the helloAck is
-// handshake, not data).
-func serveBatches(r io.Reader, w io.Writer, run func(key string, spec json.RawMessage) Result, opt WorkerOptions, proto int) error {
 	lastInner := 0
 	for frame := 1; ; frame++ {
 		payload, _, err := wire.ReadFrame(r, frame)
@@ -218,11 +136,9 @@ func serveBatches(r io.Reader, w io.Writer, run func(key string, spec json.RawMe
 				}
 			}
 			res := run(req.Key, req.Spec)
-			resp := WireResponse{Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry}
-			if proto >= ProtoV5 {
-				resp.Snaps = res.Snaps
-			}
-			b, err := json.Marshal(wireEnvelope{Resps: []WireResponse{resp}})
+			b, err := json.Marshal(wireEnvelope{Resps: []WireResponse{{
+				Key: req.Key, Result: res, Cached: res.Cached, Metrics: res.Telemetry, Snaps: res.Snaps,
+			}}})
 			if err != nil {
 				return fmt.Errorf("runtime: worker encode (frame %d): %w", frame, err)
 			}
@@ -304,8 +220,8 @@ type EndpointStats struct {
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames sent (responses mirror them 1:1);
 	// Specs counts the specs those frames carried. Specs/Frames is the
-	// realized batch density — 1.0 on v3-fallback sessions, up to the
-	// fair-share cap on v4 sessions.
+	// realized batch density, up to the fair-share cap of
+	// maxSpecsPerFrame.
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// AffinityHits counts affinity-keyed jobs this endpoint ran as
@@ -319,7 +235,7 @@ type EndpointStats struct {
 	// endpoints plus snapshot-backed singles.
 	Stolen int64 `json:"stolen,omitempty"`
 	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
-	// endpoint (protocol v5).
+	// endpoint.
 	SnapBytesSent int64 `json:"snapBytesSent,omitempty"`
 }
 
@@ -355,11 +271,11 @@ type endpoint struct {
 // never straggles the whole batch the way a static per-worker shard
 // would. Each session has a retry budget of one: a session failure
 // (crashed worker, dropped connection, truncated or out-of-order
-// output) re-dials and resends only the unanswered in-flight job; a
-// session whose budget runs out hands its job back to the fleet, so a
-// dead endpoint degrades capacity, not correctness. Jobs still
-// unanswered when every session has exhausted its budget yield error
-// results.
+// output) re-dials and resends only the unanswered tail of its
+// in-flight frame; a session whose budget runs out hands those jobs
+// back to the fleet, so a dead endpoint degrades capacity, not
+// correctness. Jobs still unanswered when every session has exhausted
+// its budget yield error results.
 type Coordinator struct {
 	cfg       ProcConfig
 	endpoints []*endpoint
@@ -370,9 +286,9 @@ type Coordinator struct {
 	lastErr error
 
 	// snapMu guards snaps, the in-memory pool of snapshot artifacts
-	// returned by workers this process lifetime (wire v5). It is a
-	// dedicated lock because the dispatcher's hasSnap callback reads it
-	// while holding the queue lock.
+	// returned by workers this process lifetime. It is a dedicated lock
+	// because the dispatcher's hasSnap callback reads it while holding
+	// the queue lock.
 	snapMu sync.Mutex
 	snaps  map[string]json.RawMessage
 }
@@ -384,15 +300,11 @@ type Coordinator struct {
 func (c *Coordinator) SetCollector(col *telemetry.Collector) { c.col = col }
 
 // SetCache attaches the coordinator's run cache so snapshot artifacts
-// returned by workers (wire v5) are persisted under their own keys —
-// a later cold run warm-starts from disk. A nil cache disables
+// returned by workers are persisted under their own keys — a later
+// cold run warm-starts from disk. A nil cache disables
 // persistence; artifacts still ship fleet-wide from the in-memory
 // pool for the coordinator's lifetime. Call before Run.
 func (c *Coordinator) SetCache(cache *Cache) { c.cache = cache }
-
-// ProcBackend is the coordinator's historical name, kept so PR 3 era
-// call sites and docs stay valid.
-type ProcBackend = Coordinator
 
 // NewProcBackend returns a shard coordinator for cfg: one stdio
 // endpoint running cfg.Procs subprocess sessions (when the resolved
@@ -764,12 +676,12 @@ func (c *Coordinator) newDispatcher(jobs []Job, idxs []int) dispatcher {
 	return newAffinityQueue(jobs, idxs, caps, c.hasSnapshot)
 }
 
-// maxSpecsPerFrame caps how many specs a v4 session packs into one
+// maxSpecsPerFrame caps how many specs a session packs into one
 // request frame, bounding both the frame size and the amount of work a
 // single session failure requeues.
 const maxSpecsPerFrame = 16
 
-// specsPerFrame derives a v4 session's frame batch size from the batch
+// specsPerFrame derives a session's frame batch size from the batch
 // shape: each frame carries at most the session's fair share of the
 // batch across the fleet's capacity, so batching never trades away the
 // work queue's load balancing — a fleet that could run every cell
@@ -891,10 +803,10 @@ func (c *Coordinator) innerBudget(n, endpointCap, totalCap int) wireBudget {
 // runSession drives one endpoint session: pull work from the queue,
 // send it, read the response, repeat. Dialing is lazy — no worker is
 // spawned or connected until the session actually holds a job. A
-// session failure re-dials once and resends only the unanswered
-// in-flight frame (answered frames are never resent); when the retry
-// budget is spent the session gives its in-flight jobs back to the
-// fleet — a surviving endpoint absorbs them, and only a fleet with no
+// session failure re-dials once and resends only the unanswered tail
+// of the in-flight frame (answered specs are never resent); when the
+// retry budget is spent the session gives its in-flight jobs back to
+// the fleet — a surviving endpoint absorbs them, and only a fleet with no
 // session left turns them into error results (the batch drain).
 func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBudget, specs int, jobs []Job, keys []string, queue dispatcher, results []Result, done func(int, Result)) {
 	var carried []int // in-flight frame's job indexes, carried across a retry
@@ -907,8 +819,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 	for {
 		if len(carried) == 0 {
 			// Pop a single job before dialing: the frame is topped up to
-			// the session's batch size inside pump, once the negotiated
-			// generation is known.
+			// the session's batch size inside pump.
 			i, ok := queue.pop(epi)
 			if !ok {
 				return // batch finished
@@ -947,30 +858,16 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, inner wireBud
 
 // pump streams job frames through one established session until the
 // batch finishes or the session fails. Each iteration moves one
-// request frame: a single spec on a v3 session, up to the endpoint's
-// fair-share batch on a v4/v5 BatchConn. Responses stream back per
-// spec and are finalized as they arrive, in request order; a failure
-// mid-frame returns only the unanswered tail for requeue, so specs a
-// dying worker already answered are never re-run — the exact failure
-// granularity of the v3 one-spec-per-frame protocol. On a v5 session
-// the pump additionally pre-pushes pooled snapshot artifacts with
+// request frame carrying up to the endpoint's fair-share batch.
+// Responses stream back per spec and are finalized as they arrive, in
+// request order; a failure mid-frame returns only the unanswered tail
+// for requeue, so specs a dying worker already answered are never
+// re-run. The pump also pre-pushes pooled snapshot artifacts with
 // affinity-keyed requests whose worker isn't known to hold them, and
 // pools artifacts the responses return.
 func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, specs int, carried []int, jobs []Job, keys []string, queue dispatcher, results []Result, done func(int, Result)) ([]int, error) {
 	sharesCache := c.cfg.CacheDir != "" && conn.Hello().CacheDir == c.cfg.CacheDir
 	inner := budget.forConn(conn)
-	bc, _ := conn.(BatchConn)
-	if bc == nil {
-		specs = 1 // v3 fallback: one spec per frame, the PR 5 contract
-	}
-	proto := ProtoV3
-	if p, ok := conn.(interface{ Proto() int }); ok {
-		proto = p.Proto()
-	}
-	// A worker sharing the coordinator's cache directory reads shipped
-	// snapshots straight from disk, so pushing bytes at it is pure
-	// waste; everyone else gets the artifact once per process.
-	shipSnaps := proto >= ProtoV5 && !sharesCache
 	shared := conn.Hello().Capacity > 1
 	sessKnown := make(map[string]bool)
 	ws, _ := conn.(WireStatser)
@@ -992,7 +889,11 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 		var pushed int64
 		for k, i := range frame {
 			reqs[k] = WireRequest{Key: keys[i], Spec: jobs[i].Payload, Inner: inner}
-			if a := jobs[i].Affinity; shipSnaps && a != "" && !c.snapKnown(ep, shared, sessKnown, a) {
+			// A worker sharing the coordinator's cache directory reads
+			// shipped snapshots straight from disk, so pushing bytes at it
+			// is pure waste; everyone else gets the artifact once per
+			// process.
+			if a := jobs[i].Affinity; !sharesCache && a != "" && !c.snapKnown(ep, shared, sessKnown, a) {
 				if data := c.snapshotData(a); data != nil {
 					reqs[k].Snaps = []SnapshotArtifact{{Key: a, Data: data}}
 					c.markSnapKnown(ep, shared, sessKnown, a)
@@ -1007,13 +908,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
 		}
 		sent := time.Now()
-		var err error
-		if bc != nil {
-			err = bc.SendBatch(reqs)
-		} else {
-			err = conn.Send(reqs[0])
-		}
-		if err != nil {
+		if err := conn.SendBatch(reqs); err != nil {
 			return frame, fmt.Errorf("sending %q: %w", keys[frame[0]], err)
 		}
 		c.mu.Lock()
@@ -1029,14 +924,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, budget wireBudget, 
 		// reconciling with Dispatched.
 		answered := 0
 		for answered < len(frame) {
-			var resps []WireResponse
-			if bc != nil {
-				resps, err = bc.RecvBatch()
-			} else {
-				var resp WireResponse
-				resp, err = conn.Recv()
-				resps = []WireResponse{resp}
-			}
+			resps, err := conn.RecvBatch()
 			if err != nil {
 				return frame[answered:], fmt.Errorf("worker reply for %q: %w", keys[frame[answered]], err)
 			}

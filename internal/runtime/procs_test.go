@@ -45,7 +45,7 @@ func TestMain(m *testing.M) {
 }
 
 func stubWorkerMain() {
-	err := ServeWorker(os.Stdin, os.Stdout, func(key string, spec json.RawMessage) Result {
+	err := ServeSession(os.Stdin, os.Stdout, func(key string, spec json.RawMessage) Result {
 		var s stubSpec
 		if err := json.Unmarshal(spec, &s); err != nil {
 			return Result{Key: key, Err: "stub: " + err.Error()}
@@ -64,7 +64,7 @@ func stubWorkerMain() {
 			return Result{Key: key, Err: "stub failure"}
 		}
 		return Result{Key: key, Sim: fl.Result{PPW: s.PPW}}
-	})
+	}, WorkerOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -84,7 +84,7 @@ func stubJob(i int, s stubSpec) Job {
 	}
 }
 
-func stubBackend(t *testing.T, procs int) *ProcBackend {
+func stubBackend(t *testing.T, procs int) *Coordinator {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -230,38 +230,37 @@ func TestExecutorOnProcBackendCacheSemantics(t *testing.T) {
 	}
 }
 
-// ServeWorker must open the session with a valid hello frame, then
+// A served worker session must open with a valid hello frame, then
 // answer every request in order and propagate the Cached flag across
-// the wire (Result.Cached is excluded from the result's own JSON
-// form).
+// the wire (Result.Cached is excluded from the result's own JSON form).
 func TestServeWorkerOrderAndCachedFlag(t *testing.T) {
 	var in, out bytes.Buffer
-	enc := json.NewEncoder(&in)
-	for i := 0; i < 5; i++ {
-		enc.Encode(WireRequest{Key: fmt.Sprintf("k%d", i), Spec: json.RawMessage(`{}`)})
+	reqs := make([]WireRequest, 5)
+	for i := range reqs {
+		reqs[i] = WireRequest{Key: fmt.Sprintf("k%d", i), Spec: json.RawMessage(`{}`)}
 	}
-	err := ServeWorker(&in, &out, func(key string, _ json.RawMessage) Result {
+	if err := writeJSONFrame(&in, wireEnvelope{Reqs: reqs}); err != nil {
+		t.Fatal(err)
+	}
+	err := ServeSession(&in, &out, func(key string, _ json.RawMessage) Result {
 		return Result{Key: key, Cached: key == "k2", Sim: fl.Result{PPW: 7}}
-	})
+	}, WorkerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(&out)
 	var hello WireHello
-	if err := dec.Decode(&hello); err != nil {
+	if err := readJSONFrame(&out, 1, &hello); err != nil {
 		t.Fatalf("hello frame: %v", err)
 	}
-	// The hello's base Proto stays at the v3 baseline so pre-v4
-	// coordinators keep accepting it; the v4 capability rides in
-	// MaxProto.
-	if !hello.Hello || hello.Proto != ProtoV3 || hello.MaxProto != ProtoVersion || hello.KeyVersion != keyVersion || hello.Capacity != 1 {
+	if !hello.Hello || hello.Proto != ProtoVersion || hello.KeyVersion != keyVersion || hello.Capacity != 1 {
 		t.Errorf("hello frame = %+v", hello)
 	}
-	for i := 0; i < 5; i++ {
-		var resp WireResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("response %d: %v", i, err)
+	for i := range reqs {
+		var env wireEnvelope
+		if err := readJSONFrame(&out, i+2, &env); err != nil || len(env.Resps) != 1 {
+			t.Fatalf("response %d: %+v, %v", i, env, err)
 		}
+		resp := env.Resps[0]
 		if want := fmt.Sprintf("k%d", i); resp.Key != want {
 			t.Errorf("response %d out of order: %q", i, resp.Key)
 		}

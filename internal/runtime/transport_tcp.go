@@ -73,14 +73,14 @@ type ServeConfig struct {
 	// CacheDir is the worker's run-cache directory, advertised in the
 	// hello so coordinators sharing it can skip redundant cache writes.
 	CacheDir string
-	// Run executes one job; see ServeWorker.
+	// Run executes one job; see ServeSession.
 	Run func(key string, spec json.RawMessage) Result
 	// SetInner, when non-nil, applies coordinator-forwarded inner
 	// worker budgets (WireRequest.Inner). It may be called from
 	// concurrent sessions and must be safe for concurrent use.
 	SetInner func(n int)
 	// Install, when non-nil, installs coordinator-pushed snapshot
-	// artifacts (WireRequest.Snaps, protocol v5) into the pool's
+	// artifacts (WireRequest.Snaps) into the pool's
 	// pretrain cache. It may be called from concurrent sessions and
 	// must be safe for concurrent use.
 	Install func(key string, data json.RawMessage) error
@@ -101,7 +101,7 @@ const drainGrace = 250 * time.Millisecond
 // then drains gracefully — the listener closes so no new work arrives,
 // sessions finish the job they are executing and send its response,
 // and only then does Serve return. Each session speaks the exact
-// protocol ServeWorker speaks on stdio, hello frame included.
+// protocol ServeSession speaks on stdio, hello frame included.
 func Serve(ctx context.Context, lis net.Listener, cfg ServeConfig) error {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = stdruntime.GOMAXPROCS(0)

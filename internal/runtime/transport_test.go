@@ -12,12 +12,14 @@ import (
 	"time"
 
 	"fedgpo/internal/fl"
+	"fedgpo/internal/runtime/wire"
 )
 
 // fakeTransport is an in-process Transport whose sessions are scripted
 // per dial: respond decides, given the dial ordinal and the request,
-// whether to answer or to break the session. It records every send so
-// tests can assert exactly which jobs were resent after a failure.
+// whether to answer or to break the session. It records every request
+// its fake worker starts executing, so tests can assert exactly which
+// jobs were re-run after a failure.
 type fakeTransport struct {
 	name     string
 	sessions int
@@ -30,7 +32,7 @@ type fakeTransport struct {
 
 	mu    sync.Mutex
 	dials int
-	sends map[string]int
+	sends map[string]int // executions per job key
 	inner map[string]int
 }
 
@@ -67,30 +69,37 @@ func (t *fakeTransport) sendCount(key string) int {
 	return t.sends[key]
 }
 
+// fakeConn serves request envelopes the way ServeSession does: specs
+// run in request order, one response per RecvBatch, and a session that
+// breaks never starts the specs queued behind the failing one.
 type fakeConn struct {
-	t    *fakeTransport
-	dial int
-	req  *WireRequest
+	t       *fakeTransport
+	dial    int
+	pending []WireRequest
 }
 
 func (c *fakeConn) Hello() WireHello { return c.t.hello }
 
-func (c *fakeConn) Send(req WireRequest) error {
+func (c *fakeConn) SendBatch(reqs []WireRequest) error {
+	c.pending = append(c.pending, reqs...)
+	return nil
+}
+
+func (c *fakeConn) RecvBatch() ([]WireResponse, error) {
+	if len(c.pending) == 0 {
+		return nil, fmt.Errorf("recv without a pending request")
+	}
+	req := c.pending[0]
+	c.pending = c.pending[1:]
 	c.t.mu.Lock()
 	c.t.sends[req.Key]++
 	c.t.inner[req.Key] = req.Inner
 	c.t.mu.Unlock()
-	c.req = &req
-	return nil
-}
-
-func (c *fakeConn) Recv() (WireResponse, error) {
-	if c.req == nil {
-		return WireResponse{}, fmt.Errorf("recv without a pending request")
+	resp, err := c.t.respond(c.dial, req)
+	if err != nil {
+		return nil, err
 	}
-	req := *c.req
-	c.req = nil
-	return c.t.respond(c.dial, req)
+	return []WireResponse{resp}, nil
 }
 
 func (c *fakeConn) Close() error { return nil }
@@ -111,9 +120,10 @@ func specJobs(n int) []Job {
 	return jobs
 }
 
-// A session that drops mid-batch must be retried on a fresh session,
-// resending only the unanswered in-flight job — never jobs that were
-// already answered.
+// A session that drops mid-batch must be retried on a fresh session
+// that resends only the unanswered tail of the in-flight frame — so
+// only the job the session died on runs twice, and jobs that were
+// already answered are never resent.
 func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 	jobs := specJobs(6)
 	answeredOnFirst := 3
@@ -144,14 +154,17 @@ func TestCoordinatorRetryResendsOnlyUnanswered(t *testing.T) {
 		}
 	}
 	if resent != 1 {
-		t.Errorf("%d jobs were resent, want exactly the 1 unanswered in-flight job", resent)
+		t.Errorf("%d jobs ran twice, want exactly the 1 job the session died on", resent)
 	}
 	if ft.dials != 2 {
 		t.Errorf("transport dialed %d times, want 2 (session + one retry)", ft.dials)
 	}
+	// The whole batch fits one frame; the retry frame resends the
+	// unanswered tail: jobs answeredOnFirst..len(jobs)-1.
+	unanswered := int64(len(jobs) - answeredOnFirst)
 	st := c.EndpointStats()
-	if len(st) != 1 || st[0].Retried != 1 || st[0].Failed != 0 || st[0].Dispatched != int64(len(jobs))+1 {
-		t.Errorf("endpoint stats = %+v", st)
+	if len(st) != 1 || st[0].Retried != 1 || st[0].Failed != 0 || st[0].Dispatched != int64(len(jobs))+unanswered {
+		t.Errorf("endpoint stats = %+v, want %d dispatched", st, int64(len(jobs))+unanswered)
 	}
 }
 
@@ -202,9 +215,11 @@ func TestCoordinatorExhaustedRetriesSurfaceErrors(t *testing.T) {
 	if done != len(jobs) {
 		t.Errorf("done fired %d times, want %d", done, len(jobs))
 	}
+	// The batch travels as one frame, so the in-flight frame the
+	// endpoint gives up on holds every job.
 	st := c.EndpointStats()
-	if len(st) != 1 || st[0].Failed != 1 {
-		t.Errorf("endpoint stats = %+v (want exactly the in-flight job counted failed)", st)
+	if len(st) != 1 || st[0].Failed != int64(len(jobs)) {
+		t.Errorf("endpoint stats = %+v (want exactly the in-flight frame's %d jobs counted failed)", st, len(jobs))
 	}
 }
 
@@ -281,26 +296,31 @@ func TestCoordinatorForwardsWireBudgets(t *testing.T) {
 }
 
 // The handshake must reject a worker speaking the wrong protocol
-// version, the wrong cache-key scheme, or no hello at all.
+// version, the wrong cache-key scheme, no hello at all, or no framing
+// at all (a protocol-5 worker's plain-JSON hello line).
 func TestHandshakeRejectsMismatches(t *testing.T) {
-	dial := func(firstFrame string) error {
-		_, err := newWireConn(strings.NewReader(firstFrame), &strings.Builder{}, 0, nil)
-		return err
+	framed := func(v any) string {
+		var b strings.Builder
+		if err := writeJSONFrame(&b, v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	proto := fmt.Sprint(ProtoVersion)
-	cases := []struct{ frame, want string }{
-		{`{"hello":true,"proto":1,"keyVersion":"` + keyVersion + `","capacity":1}`, "wire protocol"},
-		{`{"hello":true,"proto":` + proto + `,"keyVersion":"v1","capacity":1}`, "cache-key scheme"},
-		{`{"key":"k0","result":{}}`, "not a hello"},
-		{`worker: cannot open cache`, "reading hello"},
+	cases := []struct{ stream, want string }{
+		{framed(WireHello{Hello: true, Proto: 5, KeyVersion: keyVersion, Capacity: 1}), "wire protocol 5"},
+		{framed(WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: "v1", Capacity: 1}), "cache-key scheme"},
+		{framed(WireResponse{Key: "k0"}), "not a hello"},
+		{v5HelloLine, fmt.Sprintf("not a protocol-%d worker", ProtoVersion)},
+		{"worker: cannot open cache", "reading hello"},
+		{"", "reading hello"},
 	}
 	for _, c := range cases {
-		err := dial(c.frame)
+		_, err := newWireConn(strings.NewReader(c.stream), &strings.Builder{}, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("handshake on %q: error = %v, want mention of %q", c.frame, err, c.want)
+			t.Errorf("handshake on %q: error = %v, want mention of %q", c.stream, err, c.want)
 		}
 	}
-	good := `{"hello":true,"proto":` + proto + `,"keyVersion":"` + keyVersion + `","capacity":3,"cacheDir":"/tmp/c"}`
+	good := framed(WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 3, CacheDir: "/tmp/c"})
 	conn, err := newWireConn(strings.NewReader(good), &strings.Builder{}, 0, nil)
 	if err != nil {
 		t.Fatalf("valid hello rejected: %v", err)
@@ -310,40 +330,44 @@ func TestHandshakeRejectsMismatches(t *testing.T) {
 	}
 }
 
-// The worker session loop must tolerate blank lines and stray
-// whitespace between frames (wrapper scripts emit them), and a
-// genuinely malformed frame must name its index.
-func TestServeSessionWhitespaceAndFrameErrors(t *testing.T) {
-	req := func(key string) string {
-		b, _ := json.Marshal(WireRequest{Key: key, Spec: json.RawMessage(`{}`)})
-		return string(b)
+// A malformed inbound frame — bytes that are not a frame, a frame that
+// is not an envelope, an envelope with no requests — must fail the
+// worker session naming the offending frame's index, after every
+// earlier frame was answered.
+func TestServeSessionFrameErrors(t *testing.T) {
+	first := func() *strings.Builder {
+		var in strings.Builder
+		if err := writeJSONFrame(&in, wireEnvelope{Reqs: []WireRequest{{Key: "k0", Spec: json.RawMessage(`{}`)}}}); err != nil {
+			t.Fatal(err)
+		}
+		return &in
 	}
-	in := strings.NewReader("\n\n" + req("k0") + "\n \n\t\n" + req("k1") + "\r\n   \n")
-	var out strings.Builder
-	err := ServeWorker(in, &out, func(key string, _ json.RawMessage) Result {
-		return Result{Key: key}
-	})
-	if err != nil {
-		t.Fatalf("whitespace between frames killed the session: %v", err)
-	}
-	dec := json.NewDecoder(strings.NewReader(out.String()))
-	var hello WireHello
-	if err := dec.Decode(&hello); err != nil {
+	run := func(key string, _ json.RawMessage) Result { return Result{Key: key} }
+	notJSON := first()
+	if _, err := wire.WriteFrame(notJSON, []byte("not an envelope")); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"k0", "k1"} {
-		var resp WireResponse
-		if err := dec.Decode(&resp); err != nil || resp.Key != want {
-			t.Fatalf("response = %+v, %v (want key %s)", resp, err, want)
-		}
+	empty := first()
+	if err := writeJSONFrame(empty, wireEnvelope{}); err != nil {
+		t.Fatal(err)
 	}
-
-	bad := strings.NewReader(req("k0") + "\nnot a frame\n")
-	err = ServeWorker(bad, &strings.Builder{}, func(key string, _ json.RawMessage) Result {
-		return Result{Key: key}
-	})
-	if err == nil || !strings.Contains(err.Error(), "frame 2") {
-		t.Errorf("malformed frame error = %v, want the offending frame index (frame 2)", err)
+	unframed := first()
+	unframed.WriteString("not a frame\n")
+	for name, in := range map[string]*strings.Builder{"not JSON": notJSON, "empty envelope": empty, "unframed": unframed} {
+		var out strings.Builder
+		err := ServeSession(strings.NewReader(in.String()), &out, run, WorkerOptions{})
+		if err == nil || !strings.Contains(err.Error(), "frame 2") {
+			t.Errorf("%s: error = %v, want the offending frame index (frame 2)", name, err)
+		}
+		r := strings.NewReader(out.String())
+		var hello WireHello
+		var env wireEnvelope
+		if err := readJSONFrame(r, 1, &hello); err != nil || !hello.Hello {
+			t.Fatalf("%s: hello = %+v, %v", name, hello, err)
+		}
+		if err := readJSONFrame(r, 2, &env); err != nil || len(env.Resps) != 1 || env.Resps[0].Key != "k0" {
+			t.Errorf("%s: frame 1 not answered before the failure: %+v, %v", name, env, err)
+		}
 	}
 }
 
@@ -487,8 +511,7 @@ func TestTCPHandshakeMismatchRejectsEndpoint(t *testing.T) {
 			if err != nil {
 				return
 			}
-			enc := json.NewEncoder(nc)
-			_ = enc.Encode(WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1})
+			_ = writeJSONFrame(nc, WireHello{Hello: true, Proto: ProtoVersion + 1, KeyVersion: keyVersion, Capacity: 1})
 			_ = nc.Close()
 		}
 	}()
@@ -526,14 +549,14 @@ func TestTCPDrainDeliversInFlightResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(WireRequest{Key: "k0", Spec: json.RawMessage(`{}`)}); err != nil {
+	if err := conn.SendBatch([]WireRequest{{Key: "k0", Spec: json.RawMessage(`{}`)}}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	cancel() // SIGTERM equivalent: drain begins while the job runs
-	resp, err := conn.Recv()
-	if err != nil || resp.Key != "k0" || resp.Result.Sim.PPW != 42 {
-		t.Errorf("in-flight response lost during drain: %+v, %v", resp, err)
+	resps, err := conn.RecvBatch()
+	if err != nil || len(resps) != 1 || resps[0].Key != "k0" || resps[0].Result.Sim.PPW != 42 {
+		t.Errorf("in-flight response lost during drain: %+v, %v", resps, err)
 	}
 	_ = conn.Close()
 	select {
@@ -561,7 +584,7 @@ func TestTCPReplyTimeout(t *testing.T) {
 				return
 			}
 			// Hello, then silence: accept requests, answer nothing.
-			_ = json.NewEncoder(nc).Encode(WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 1})
+			_ = writeJSONFrame(nc, WireHello{Hello: true, Proto: ProtoVersion, KeyVersion: keyVersion, Capacity: 1})
 		}
 	}()
 	c := NewCoordinator(ProcConfig{},

@@ -8,65 +8,40 @@ import (
 	"fedgpo/internal/runtime/wire"
 )
 
-// WireBytesPerCell measures what one cell costs on the wire under each
-// protocol generation, for a concrete request/response workload: v3
-// ships every message as one newline-delimited JSON value; v4 ships
-// requests in compressed batch envelopes of the given size and each
-// response as its own compressed envelope frame, exactly as the
-// coordinator and serveBatches do. It is a measurement helper (the
-// bench harness's wire_bytes_per_cell metric), not a transport: no
-// handshake bytes are included, since those amortize across a session.
-func WireBytesPerCell(reqs []WireRequest, resps []WireResponse, batch int) (v3, v4 float64, err error) {
+// WireBytesPerCell measures what one cell costs on the wire for a
+// concrete request/response workload: requests travel in compressed
+// batch envelopes of the given size and each response as its own
+// compressed envelope frame, exactly as the coordinator and
+// ServeSession send them. It is a measurement helper (the bench
+// harness's wire_bytes_per_cell metric), not a transport: no hello
+// bytes are included, since those amortize across a session.
+func WireBytesPerCell(reqs []WireRequest, resps []WireResponse, batch int) (float64, error) {
 	if len(reqs) == 0 {
-		return 0, 0, fmt.Errorf("runtime: wire metering needs at least one request")
+		return 0, fmt.Errorf("runtime: wire metering needs at least one request")
 	}
 	if batch < 1 {
 		batch = 1
 	}
-	var v3Bytes int64
-	count := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		v3Bytes += int64(len(b)) + 1 // json.Encoder terminates with '\n'
-		return nil
-	}
-	for _, r := range reqs {
-		if err := count(r); err != nil {
-			return 0, 0, err
-		}
-	}
-	for _, r := range resps {
-		if err := count(r); err != nil {
-			return 0, 0, err
-		}
-	}
-
-	var v4Bytes int64
+	var total int64
 	frame := func(env wireEnvelope) error {
 		b, err := json.Marshal(env)
 		if err != nil {
 			return err
 		}
 		n, err := wire.WriteFrame(io.Discard, b)
-		v4Bytes += int64(n)
+		total += int64(n)
 		return err
 	}
 	for i := 0; i < len(reqs); i += batch {
-		end := i + batch
-		if end > len(reqs) {
-			end = len(reqs)
-		}
+		end := min(i+batch, len(reqs))
 		if err := frame(wireEnvelope{Reqs: reqs[i:end]}); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	for _, r := range resps {
 		if err := frame(wireEnvelope{Resps: []WireResponse{r}}); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	cells := float64(len(reqs))
-	return float64(v3Bytes) / cells, float64(v4Bytes) / cells, nil
+	return float64(total) / float64(len(reqs)), nil
 }

@@ -3,7 +3,7 @@
 // per-endpoint dispatch latency histograms) and a concurrency-safe
 // Collector that accumulates one. The executor, cache, coordinator and
 // simulator all record into collectors; worker processes carry their
-// per-job snapshots back over the wire protocol's v3 "metrics" field,
+// per-job snapshots back over the wire protocol's "metrics" field,
 // so a remote pool is exactly as observable as an in-process one.
 //
 // Telemetry is observational only: nothing recorded here may influence
@@ -118,7 +118,7 @@ type Counters struct {
 	// group adoption, or snapshot-covered singles).
 	StolenJobs int64 `json:"stolenJobs"`
 	// SnapshotBytesShipped counts serialized pretrain-snapshot bytes the
-	// coordinator pre-pushed to workers (wire protocol v5).
+	// coordinator pre-pushed to workers over the wire.
 	SnapshotBytesShipped int64 `json:"snapshotBytesShipped"`
 }
 
@@ -194,8 +194,8 @@ type Endpoint struct {
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames; Specs counts the specs inside them.
-	// Specs/Frames is the realized batch density (1.0 on a v3 session,
-	// up to the coordinator's fair-share batch on v4).
+	// Specs/Frames is the realized batch density, up to the
+	// coordinator's fair-share batch.
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// AffinityHits / AffinityMisses split the endpoint's
