@@ -194,13 +194,6 @@ func BenchmarkAblation_ColdStart(b *testing.B) {
 //   - speedup_x: the same batch of independent simulation cells
 //     executed on one worker versus all cores (cross-cell sharding).
 //     On a single-core machine the ratio is ~1 by construction.
-//   - inner_speedup_x: a single serial cell stream with per-round
-//     participant fan-out off versus on (intra-round parallelism),
-//     measured on a heavy 3000-participant stream — the regime where
-//     the PR 9 adaptive gate approves fan-out. On a single-CPU
-//     process the gate pins the inner path to the identical serial
-//     loop every round, so the ratio is 1 by construction and is
-//     reported as exactly 1.0 instead of timing the same loop twice.
 //   - fig11_seconds / pretrain_warmups: cold generation time of a
 //     comparison figure and how many FedGPO Q-table warm-ups it
 //     actually ran — the pretrained-controller cache shares one
@@ -240,11 +233,9 @@ func BenchmarkAblation_ColdStart(b *testing.B) {
 //     per round. CI gates the allocation ceiling; since PR 9 the
 //     round loop is arena-backed and allocation-free in steady state.
 //
-// All sweep timings are min-of-N over interleaved passes, so a
-// background scheduling hiccup on one side cannot fake a regression
-// (or a win): inner_speedup_x >= 1.0 is CI-gated, and with the PR 9
-// adaptive gate the inner path falls back to the identical serial
-// loop whenever fan-out would not pay.
+// The serial/parallel sweep timings are min-of-N over interleaved
+// passes, so a background scheduling hiccup on one side cannot fake a
+// regression (or a win).
 //
 // With BENCH_JSON=<path> in the environment the reported metrics are
 // additionally written as a JSON artifact so CI can gate on the bench
@@ -259,31 +250,11 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 			params = append(params, fl.Params{B: bb, E: e, K: 10})
 		}
 	}
-	sweep := func(parallel, inner int) time.Duration {
+	sweep := func(parallel int) time.Duration {
 		o := exp.Tiny()
 		o.Parallel = parallel
-		o.InnerParallel = inner
 		start := time.Now()
 		exp.SweepStatic(o, s, params, 1)
-		return time.Since(start)
-	}
-	// heavy is the inner-parallelism probe: a 3000-device fleet with
-	// every device participating each round, so the per-round
-	// participant loop carries enough work (~20ns/item memoized ×3000 ≈
-	// 60µs) that the adaptive gate approves fan-out on a multi-core
-	// host. Paper-scale rounds like s above never clear the gate's
-	// floor — serial and inner-on runs would execute the same code
-	// path, making the ratio pure timer noise.
-	sHeavy := exp.Ideal(workload.CNNMNIST())
-	sHeavy.Fleet.Size = 3000
-	sHeavy.MaxRounds = 100
-	heavyParams := []fl.Params{{B: 8, E: 5, K: 3000}, {B: 8, E: 10, K: 3000}, {B: 8, E: 20, K: 3000}}
-	heavy := func(inner int) time.Duration {
-		o := exp.Tiny()
-		o.Parallel = 1
-		o.InnerParallel = inner
-		start := time.Now()
-		exp.SweepStatic(o, sHeavy, heavyParams, 1)
 		return time.Since(start)
 	}
 	fig11 := func() (time.Duration, int) {
@@ -413,8 +384,7 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 						}
 						return wrt.RunJob(wrt.Job(sp))
 					},
-					SetInner: wrt.SetInnerParallel,
-					Install:  wrt.InstallSnapshot,
+					Install: wrt.InstallSnapshot,
 				})
 			}()
 			addrs = append(addrs, lis.Addr().String())
@@ -452,10 +422,9 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 		return float64(m.Counters.PretrainRuns), float64(len(scens)), hitRate
 	}
 	// simKernel measures the round loop itself, isolated from the sweep
-	// substrate: one simulation cell on a pre-warmed arena, serial inner
-	// path (the gate's steady state for cells this size). Allocations
-	// come from the exact Mallocs delta, not sampling; time is
-	// min-of-N so the ns/round figure is the kernel's floor.
+	// substrate: one simulation cell on a pre-warmed arena. Allocations
+	// come from the exact Mallocs delta, not sampling; time is min-of-N
+	// so the ns/round figure is the kernel's floor.
 	simKernel := func() (allocsPerRound, nsPerRound float64) {
 		w := workload.CNNMNIST()
 		fleet := device.NewFleet(device.PaperComposition().Scale(20))
@@ -493,7 +462,7 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 		return allocsPerRound, nsPerRound
 	}
 	cores := stdruntime.GOMAXPROCS(0)
-	var serial, parallel, innerOff, innerOn, figTime, cold, warm time.Duration
+	var serial, parallel, figTime, cold, warm time.Duration
 	warmups := 0
 	minD := func(acc *time.Duration, d time.Duration) {
 		if *acc == 0 || d < *acc {
@@ -502,19 +471,10 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		// Interleaved min-of-N: alternating the passes keeps slow ambient
-		// load from biasing one side of a ratio. The gated inner pair
-		// gets two extra passes because its win (~5-10% end-to-end: the
-		// fanned-out participant loop is a minority of a round next to
-		// the serial RNG state sampling) is closest to its CI floor.
+		// load from biasing one side of a ratio.
 		for pass := 0; pass < 3; pass++ {
-			minD(&serial, sweep(1, 0))
-			minD(&parallel, sweep(0, 0))
-		}
-		if cores > 1 {
-			for pass := 0; pass < 5; pass++ {
-				minD(&innerOff, heavy(0))
-				minD(&innerOn, heavy(cores))
-			}
+			minD(&serial, sweep(1))
+			minD(&parallel, sweep(0))
 		}
 		ft, w := fig11()
 		figTime += ft
@@ -529,18 +489,11 @@ func BenchmarkRuntimeSpeedup(b *testing.B) {
 	fleetRuns, fleetScens, hitRate := fleetReuse()
 	keyAllocsPerOp := keyAllocs()
 	simAllocs, simNs := simKernel()
-	// On one CPU the gate forbids fan-out, so inner-on and inner-off runs
-	// are byte-for-byte the same serial loop: the true ratio is 1.
-	innerSpeedup := 1.0
-	if cores > 1 {
-		innerSpeedup = innerOff.Seconds() / innerOn.Seconds()
-	}
 	metrics := map[string]float64{
 		"fleet_pretrain_runs":  fleetRuns,
 		"fleet_scenarios":      fleetScens,
 		"affinity_hit_rate":    hitRate,
 		"speedup_x":            serial.Seconds() / parallel.Seconds(),
-		"inner_speedup_x":      innerSpeedup,
 		"fig11_seconds":        figTime.Seconds() / float64(b.N),
 		"pretrain_warmups":     float64(warmups),
 		"workers":              float64(cores),

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N] [-inner-parallel N]
+//	fedgpo-report [-quick] [-only fig9,fig12] [-parallel N]
 //	              [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	              [-cachedir PATH] [-cache-max-bytes N]
 //	              [-results PATH] > EXPERIMENTS.md
@@ -120,8 +120,8 @@ func main() {
 	_ = rt.Close()
 	st := rt.Stats()
 	pretrainRuns, pretrainKeys := rt.PretrainStats()
-	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers (+%d inner), %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
-		rtFlags.Backend, rt.Workers(), rt.InnerParallel(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
+	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
+		rtFlags.Backend, rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
 	if *verbose {
 		for _, ep := range st.Endpoints {
 			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fedgpo-sim -exp fig9 [-quick | -tiny] [-list] [-parallel N] [-inner-parallel N]
+//	fedgpo-sim -exp fig9 [-quick | -tiny] [-list] [-parallel N]
 //	           [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	           [-cachedir PATH] [-cache-max-bytes N]
 //

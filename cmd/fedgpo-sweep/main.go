@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N] [-inner-parallel N]
+//	fedgpo-sweep -workload CNN-MNIST [-noniid] [-variance] [-quick] [-parallel N]
 //	             [-backend pool|procs] [-procs N] [-workers host:port,...]
 //	             [-cachedir PATH] [-cache-max-bytes N]
 //	fedgpo-sweep -matrix "fleet=200,100;alpha=iid,0.5;net=stable,unstable" [-params 8,10,20] [-seed N]

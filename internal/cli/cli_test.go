@@ -22,22 +22,19 @@ func parse(t *testing.T, args ...string) *RuntimeFlags {
 }
 
 // The shared block must register every runtime flag once, with the
-// pool backend and the adaptive inner budget as the defaults.
+// pool backend as the default.
 func TestRegisterDefaultsAndParsing(t *testing.T) {
 	f := parse(t)
 	if f.Backend != BackendPool || f.Parallel != 0 || f.CacheDir != "" || f.CacheMaxBytes != 0 {
 		t.Errorf("unexpected defaults: %+v", f)
 	}
-	if f.InnerParallel != -1 {
-		t.Errorf("inner-parallel default = %d, want -1 (adaptive)", f.InnerParallel)
-	}
 	if f.ListScenarios {
 		t.Error("list-scenarios should default to false")
 	}
-	f = parse(t, "-parallel", "3", "-inner-parallel", "2", "-cachedir", "/tmp/x",
+	f = parse(t, "-parallel", "3", "-cachedir", "/tmp/x",
 		"-cache-max-bytes", "1024", "-backend", "procs", "-procs", "4", "-worker-bin", "/bin/w",
 		"-workers", "10.0.0.5:9331, 10.0.0.6:9331")
-	if f.Parallel != 3 || f.InnerParallel != 2 || f.CacheDir != "/tmp/x" ||
+	if f.Parallel != 3 || f.CacheDir != "/tmp/x" ||
 		f.CacheMaxBytes != 1024 || f.Backend != "procs" || f.Procs != 4 || f.WorkerBin != "/bin/w" {
 		t.Errorf("flags not parsed: %+v", f)
 	}
@@ -82,8 +79,9 @@ func TestRuntimeBuildsTCPWorkers(t *testing.T) {
 	}
 }
 
-// Runtime must build a pool runtime, apply the inner budget, and
-// prune the cache directory to the configured byte budget at startup.
+// Runtime must build a pool runtime with the requested worker count
+// and prune the cache directory to the configured byte budget at
+// startup.
 func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := runtime.NewCache(dir)
@@ -95,13 +93,13 @@ func TestRuntimeBuildsPoolAndPrunes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f := parse(t, "-parallel", "2", "-inner-parallel", "3", "-cachedir", dir, "-cache-max-bytes", "1")
+	f := parse(t, "-parallel", "2", "-cachedir", dir, "-cache-max-bytes", "1")
 	rt, err := f.Runtime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.Workers() != 2 || rt.InnerParallel() != 3 {
-		t.Errorf("runtime knobs lost: workers=%d inner=%d", rt.Workers(), rt.InnerParallel())
+	if rt.Workers() != 2 {
+		t.Errorf("runtime knob lost: workers=%d", rt.Workers())
 	}
 	left, err := os.ReadDir(dir)
 	if err != nil {

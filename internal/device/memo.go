@@ -10,8 +10,8 @@ package device
 // A CostModel is built once per (Profile, WorkloadShape) pair and
 // queried many times. Warm is NOT safe for concurrent use; Seconds is
 // read-only and may be called from many goroutines once the batch sizes
-// in play have been warmed (the simulator warms during its serial
-// phase 1 and queries during its parallel phase 2).
+// in play have been warmed (the simulator warms each participant's
+// batch size just before querying it).
 type CostModel struct {
 	prof  Profile
 	shape WorkloadShape

@@ -28,7 +28,8 @@ import (
 // per axis, and is named by its axis assignments (e.g.
 // "fleet=100/alpha=0.5/net=unstable"), so each scenario's display
 // label states exactly how it deviates from the baseline. Specs are
-// returned in row-major order: the last axis varies fastest.
+// returned in row-major order: the last axis varies fastest. A matrix
+// crossing more than MaxMatrixScenarios combinations is rejected.
 func ScenarioMatrix(w workload.Workload, matrix string) ([]ScenarioSpec, error) {
 	type axis struct {
 		name   string
@@ -62,6 +63,16 @@ func ScenarioMatrix(w workload.Workload, matrix string) ([]ScenarioSpec, error) 
 	}
 	if len(axes) == 0 {
 		return nil, fmt.Errorf("exp: empty scenario matrix")
+	}
+	// Bound the cross product before building it. Dividing the cap
+	// instead of multiplying the lengths keeps the check overflow-free.
+	total := 1
+	for _, ax := range axes {
+		if len(ax.values) > MaxMatrixScenarios/total {
+			return nil, fmt.Errorf("exp: scenario matrix exceeds %d scenarios (axis %q has %d values)",
+				MaxMatrixScenarios, ax.name, len(ax.values))
+		}
+		total *= len(ax.values)
 	}
 
 	specs := []ScenarioSpec{Ideal(w)}

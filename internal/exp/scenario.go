@@ -57,8 +57,17 @@ type FleetSpec struct {
 // holds per-round simulation state, so specs arriving from flags,
 // scenario files or the wire must not be able to demand unbounded
 // memory. The cap sits well above every fleet the repo runs — the
-// paper's 200 devices and the bench's 3000-participant probe.
+// paper's 200 devices and the few-thousand-device fleets of the sweep
+// tool.
 const MaxFleetDevices = 100_000
+
+// MaxMatrixScenarios caps how many scenarios one ScenarioMatrix call
+// may generate. Each generated spec costs a few hundred bytes before a
+// single cell runs, and the cross product grows multiplicatively in
+// the axis lengths, so a short -matrix string could otherwise demand
+// gigabytes. ScenarioMatrix checks the product of its axis lengths
+// against the cap before materializing anything.
+const MaxMatrixScenarios = 10_000
 
 // Composition resolves the spec into the concrete per-category counts.
 func (f FleetSpec) Composition() device.FleetComposition {

@@ -64,8 +64,6 @@ type Arena struct {
 
 	part data.Memo
 	comm netsim.CommModel
-	gate Gate
-	kern roundKernel
 
 	// costs persists across runs: compute-cost tables are pure in
 	// (profile, workload, batch), so cells sharing hardware and
@@ -126,7 +124,6 @@ func (a *Arena) beginRun(cfg *Config) {
 		a.devCost[i] = cm
 	}
 	a.comm = cfg.Channel.Model()
-	a.gate.Reset()
 
 	if cap(a.cumTime) < cfg.MaxRounds {
 		a.cumTime = make([]float64, 0, cfg.MaxRounds)
@@ -134,40 +131,4 @@ func (a *Arena) beginRun(cfg *Config) {
 	}
 	a.cumTime = a.cumTime[:0]
 	a.cumEnergy = a.cumEnergy[:0]
-}
-
-// roundKernel is the arena-resident closure state of executeRound's
-// phase 2 (the deterministic per-participant modeling). It is a struct
-// with a method rather than a func literal so the serial path can call
-// it without materializing a closure: a literal passed to a function
-// that may hand it to goroutines is heap-allocated at its definition
-// site every round, even on rounds that never fan out.
-type roundKernel struct {
-	parts      []DeviceRound
-	states     []DeviceState
-	samples    []int
-	devCost    []*device.CostModel
-	comm       *netsim.CommModel
-	part       *data.Memo
-	commJoules []float64
-	modelBytes float64
-}
-
-// model computes participant i's deterministic round terms. It writes
-// only index-i slots (plus the device-indexed read-only tables), which
-// is what makes fanning it out byte-identical to the serial loop.
-func (k *roundKernel) model(i int) {
-	p := &k.parts[i]
-	id := p.DeviceID
-	st := &k.states[id]
-	comp := k.devCost[id].Seconds(p.Local.B, p.Local.E, k.samples[id], st.Interference)
-	rt := k.comm.RoundTrip(k.modelBytes, st.Network)
-	p.ComputeSec = comp
-	p.CommSec = rt.Seconds
-	p.TotalSec = comp + rt.Seconds
-	p.Samples = k.samples[id]
-	p.SkewDegree = k.part.NonIIDDegree(id)
-	p.Interfered = st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0
-	p.NetworkBad = !st.Network.Regular()
-	k.commJoules[i] = rt.Joules
 }

@@ -50,13 +50,6 @@ type Config struct {
 	// StopAtConvergence ends the run once the tracker fires (plus its
 	// settle window); disable to collect full-length histories.
 	StopAtConvergence bool
-	// Inner, when non-nil, parallelizes the deterministic per-participant
-	// modeling inside each round (compute timing, communication,
-	// per-device energy terms) across the pool's shared worker budget.
-	// All stochastic state is sampled serially before the fan-out and
-	// results are merged in fixed device order, so the run's outcome is
-	// byte-identical for any pool size (nil runs rounds serially).
-	Inner *Pool
 	// Telemetry, when non-nil, receives wall-clock phase timings (round
 	// bodies, serial merges). It is observational only: Config is never
 	// hashed into cache keys and the collector cannot influence the
@@ -327,27 +320,28 @@ func observeStates(cfg *Config, pm *data.Memo, samples []int, states []DeviceSta
 // executeRound runs the selected devices' local training and computes
 // the round's timing and fleet-wide energy.
 //
-// It executes in three phases. Phase 1 asks the controller for each
-// participant's local parameters, serially in selected-device order:
-// controllers are stateful and may draw randomness, so the call order
-// is part of the reproducibility contract. Phase 2 evaluates the
-// deterministic device/channel models per participant, optionally
-// fanned across cfg.Inner's worker budget — each index writes only its
-// own slots. Phase 3 merges serially in fixed device order (straggler
-// semantics, energy accounting, aggregation), so every float
-// accumulation happens in the same order for any pool size and the
-// round outcome is byte-identical with or without inner parallelism.
+// It executes in two phases. Phase 1 walks the participants in
+// selected-device order: it asks the controller for each one's local
+// parameters — controllers are stateful and may draw randomness, so
+// the call order is part of the reproducibility contract — then
+// evaluates that participant's deterministic device/channel models.
+// Phase 2 merges in fixed device order (straggler semantics, energy
+// accounting, aggregation), so every float accumulation happens in the
+// same order on every run.
 func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult {
 	k := len(selected)
 	parts := a.parts[:k]
 	commJoules := a.commJoules[:k]
 	states := a.states
+	modelBytes := cfg.Workload.Shape.ModelBytes
 
-	// Phase 1: controller assignments (serial; may mutate controller
-	// state and consume controller randomness). The composite literal
-	// overwrites every DeviceRound field, so arena reuse cannot leak a
-	// previous round's Dropped/energy values. Warming the cost memo
-	// here — before any fan-out — keeps phase 2 read-only.
+	// Phase 1: controller assignments plus per-participant modeling.
+	// The composite literal overwrites every DeviceRound field, so
+	// arena reuse cannot leak a previous round's Dropped/energy values.
+	// The round trip is computed once per participant and reused for
+	// both its seconds and its joules below: the two are one physical
+	// transfer, and a second model call would silently diverge the
+	// moment the channel model becomes stochastic per call.
 	for i, id := range selected {
 		lp := plan.Local(cfg.Fleet[id], states[id])
 		if lp.B < 1 {
@@ -356,44 +350,27 @@ func executeRound(cfg *Config, plan Plan, selected []int, a *Arena) RoundResult 
 		if lp.E < 1 {
 			lp.E = 1
 		}
-		a.devCost[id].Warm(lp.B)
-		parts[i] = DeviceRound{DeviceID: id, Category: a.profiles[id].Category, Local: lp}
-	}
-
-	// Phase 2: deterministic per-participant modeling (parallelizable).
-	// The round trip is computed once per participant and reused for
-	// both its seconds and its joules below: the two are one physical
-	// transfer, and a second model call would silently diverge the
-	// moment the channel model becomes stochastic per call.
-	//
-	// The kernel lives in the arena (a struct method, not a closure) so
-	// the serial path allocates nothing; the gate decides per round
-	// whether borrowing pool helpers is worth the spawn/join overhead.
-	// Either way each index writes only its own slots and the merge
-	// below runs serially in index order, so the outcome is
-	// byte-identical for every gating decision and pool size.
-	a.kern = roundKernel{
-		parts:      parts,
-		states:     states,
-		samples:    a.samples,
-		devCost:    a.devCost,
-		comm:       &a.comm,
-		part:       &a.part,
-		commJoules: commJoules,
-		modelBytes: cfg.Workload.Shape.ModelBytes,
-	}
-	t0 := time.Now()
-	workers := 1
-	if budget := a.gate.Budget(k); budget > 0 && cfg.Inner != nil {
-		workers = cfg.Inner.forEachUpTo(k, budget, a.kern.model)
-	} else {
-		for i := 0; i < k; i++ {
-			a.kern.model(i)
+		cm := a.devCost[id]
+		cm.Warm(lp.B)
+		st := &states[id]
+		comp := cm.Seconds(lp.B, lp.E, a.samples[id], st.Interference)
+		rt := a.comm.RoundTrip(modelBytes, st.Network)
+		parts[i] = DeviceRound{
+			DeviceID:   id,
+			Category:   a.profiles[id].Category,
+			Local:      lp,
+			ComputeSec: comp,
+			CommSec:    rt.Seconds,
+			TotalSec:   comp + rt.Seconds,
+			Samples:    a.samples[id],
+			SkewDegree: a.part.NonIIDDegree(id),
+			Interfered: st.Interference.CPUUsage > 0 || st.Interference.MemUsage > 0,
+			NetworkBad: !st.Network.Regular(),
 		}
+		commJoules[i] = rt.Joules
 	}
-	a.gate.Observe(time.Since(t0), k, workers)
 
-	// Phase 3: serial merge in fixed device order.
+	// Phase 2: serial merge in fixed device order.
 	mergeStart := time.Now()
 	times := a.times[:k]
 	for i := range parts {

@@ -150,7 +150,7 @@
 // only the specs it had not yet answered. Each request is a
 // WireRequest:
 //
-//	{"key": "<canonical job key>", "spec": <serialized JobSpec>, "inner": N,
+//	{"key": "<canonical job key>", "spec": <serialized JobSpec>,
 //	 "snaps": [<pretrain snapshot artifacts>, omitted when empty]}
 //
 // and each reply a WireResponse, strictly one per request in request
@@ -173,21 +173,9 @@
 // coordinator's stderr. ServeSession implements the worker side and
 // Serve the TCP accept loop, so any binary can join the protocol.
 //
-// The "inner" field is the wire-level worker budget (ROADMAP item e):
-// the per-round participant fan-out the worker should lend its cells.
-// With an explicit -inner-parallel it is forwarded verbatim; under the
-// adaptive default the coordinator derives it per batch and per
-// endpoint in the spirit of the pool backend's adaptive budget — an
-// endpoint whose sessions outnumber its share of a small batch lends
-// the idle sessions to intra-worker fan-out, and a saturated fleet
-// keeps workers serial. The forwarded number matches the worker's
-// process shape, read off the hello's capacity: a one-session process
-// (stdio subprocess) gets its own per-cell share, while a -listen pool
-// — whose concurrent cells share a single fl.Pool — gets the
-// endpoint's whole spare as that shared budget. Budgets shape
-// wall-clock only; results
-// are byte-identical for any value, so the budget never enters cache
-// keys and workers with an explicit -inner-parallel flag ignore it.
+// A request carries no execution knobs: a session runs its cells one
+// at a time, each exactly as its spec says, so the coordinator's only
+// parallelism lever is the session count.
 //
 // # Dispatch, retry and failover
 //
@@ -215,17 +203,13 @@
 // are byte-identical either way, because snapshots are deterministic
 // and always served through a lossless JSON round-trip).
 //
-// Below the job level sits a second, inner tier of parallelism: each
-// simulation may fan its per-round participant modeling across an
-// fl.Pool — a token bucket of extra goroutines shared by every run the
-// experiment runtime executes concurrently, so the combined outer
-// (cells) and inner (participants) goroutine count stays bounded by
-// worker count + inner budget. Inner fan-out is borrow-only and
-// non-blocking, and the per-round merge happens serially in fixed
-// device order, so results are byte-identical for any inner budget;
-// the budget therefore never appears in a cache key.
+// Parallelism lives at the job level only. Each simulation runs its
+// rounds on the goroutine that executes its cell, with a serial
+// participant loop: FedGPO plans at most 20 participants per round
+// (paper Table 2), a few microseconds of work, far below what a
+// goroutine fan-out could win back.
 //
-// # Simulation kernel: scratch arenas and adaptive inner gating
+// # Simulation kernel: scratch arenas and memo tables
 //
 // The cell bodies those workers execute run on fl's zero-allocation
 // kernel. Every fl.Run borrows a per-run scratch arena (fl.Arena) from
@@ -245,21 +229,6 @@
 // Reuse is safe across cells of any shape: beginRun resizes and
 // re-derives every table from the new config, and byte-identity of
 // dirty-arena reruns is tested directly.
-//
-// Whether a round's participant loop actually borrows pool helpers is
-// decided adaptively by fl.Gate. The gate learns the loop's
-// per-participant cost from an EMA over observed round timings
-// (normalized by realized worker count) and approves fan-out only when
-// the estimated total work clears a floor worth a goroutine
-// spawn/join, capping helpers so each chunk amortizes its dispatch and
-// never exceeding available CPUs. Paper-scale rounds (tens of
-// participants at tens of nanoseconds each) therefore run serial —
-// unconditional fan-out measurably lost time (BENCH_PR8's
-// inner_speedup_x = 0.93) — while big-fleet rounds fan out and win;
-// the CI gate inner_speedup_x >= 1.0 holds the "never lose" property.
-// Gating decisions shape wall-clock only: the per-index write contract
-// and serial in-order merge keep results byte-identical for every
-// budget and every gate decision, so neither enters a cache key.
 //
 // # Scheduling and snapshot shipping
 //

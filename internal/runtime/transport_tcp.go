@@ -75,9 +75,9 @@ type ServeConfig struct {
 	CacheDir string
 	// Run executes one job; see ServeSession.
 	Run func(key string, spec json.RawMessage) Result
-	// SetInner, when non-nil, applies coordinator-forwarded inner
-	// worker budgets (WireRequest.Inner). It may be called from
-	// concurrent sessions and must be safe for concurrent use.
+	// SetInner is never called: workers run every round serially.
+	//
+	// Deprecated: has no effect; kept only so prodbench/ builds — remove with the next prodbench change.
 	SetInner func(n int)
 	// Install, when non-nil, installs coordinator-pushed snapshot
 	// artifacts (WireRequest.Snaps) into the pool's
@@ -185,7 +185,6 @@ func Serve(ctx context.Context, lis net.Listener, cfg ServeConfig) error {
 			err := ServeSession(nc, nc, cfg.Run, WorkerOptions{
 				Capacity: cfg.Capacity,
 				CacheDir: cfg.CacheDir,
-				SetInner: cfg.SetInner,
 				Install:  cfg.Install,
 			})
 			if err != nil && ctx.Err() == nil {
