@@ -7,9 +7,17 @@
 // The implementation is a standard exact GP with an RBF kernel over
 // normalized candidate coordinates and an expected-improvement
 // acquisition function, maximizing a scalar reward. Observation noise
-// is handled with a diagonal jitter. Complexity is O(n³) in the number
-// of observations, which is fine for the few hundred rounds of an FL
-// run.
+// is handled with a diagonal jitter.
+//
+// Observations are always candidates, so the kernel is memoized per
+// candidate: the first Observe of candidate c fills the row
+// k(c, ·) over the whole candidate set (at most m×m for m candidates),
+// and both the Gram matrix K and every cross-covariance k* are read
+// from those rows — a posterior evaluates no math.Exp. Each posterior
+// still refactors K in O(n³) for a window of n observations, which is
+// fine for the few hundred rounds of an FL run. Once ExploitAfter
+// switches Suggest to argmax μ, the posterior skips σ and with it the
+// per-candidate O(n²) triangular solve.
 package bayesopt
 
 import (
@@ -22,7 +30,8 @@ import (
 // Not safe for concurrent use.
 type Optimizer struct {
 	points       [][]float64 // normalized candidate coordinates
-	xs           [][]float64 // observed inputs
+	krow         [][]float64 // krow[c][i] = kernel(points[c], points[i]); nil until c is observed
+	idx          []int       // observed candidate indices
 	ys           []float64   // observed values
 	rng          *stats.RNG
 	lengthSc     float64
@@ -77,6 +86,7 @@ func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
 	}
 	return &Optimizer{
 		points:       candidates,
+		krow:         make([][]float64, len(candidates)),
 		rng:          rng,
 		lengthSc:     cfg.LengthScale,
 		noise:        cfg.Noise,
@@ -87,18 +97,25 @@ func New(candidates [][]float64, cfg Config, rng *stats.RNG) *Optimizer {
 }
 
 // Observations returns the number of (x, y) pairs currently in the GP.
-func (o *Optimizer) Observations() int { return len(o.xs) }
+func (o *Optimizer) Observations() int { return len(o.idx) }
 
 // Observe records the outcome of evaluating candidate idx.
 func (o *Optimizer) Observe(idx int, y float64) {
 	if idx < 0 || idx >= len(o.points) {
 		panic("bayesopt: candidate index out of range")
 	}
-	o.xs = append(o.xs, o.points[idx])
+	if o.krow[idx] == nil {
+		row := make([]float64, len(o.points))
+		for i, p := range o.points {
+			row[i] = o.kernel(o.points[idx], p)
+		}
+		o.krow[idx] = row
+	}
+	o.idx = append(o.idx, idx)
 	o.ys = append(o.ys, y)
 	o.observed++
-	if len(o.xs) > o.maxPoints {
-		o.xs = o.xs[len(o.xs)-o.maxPoints:]
+	if len(o.idx) > o.maxPoints {
+		o.idx = o.idx[len(o.idx)-o.maxPoints:]
 		o.ys = o.ys[len(o.ys)-o.maxPoints:]
 	}
 }
@@ -108,13 +125,14 @@ func (o *Optimizer) Observe(idx int, y float64) {
 // observations, the highest posterior mean). With no observations it
 // explores uniformly at random.
 func (o *Optimizer) Suggest() int {
-	if len(o.xs) == 0 {
+	if len(o.idx) == 0 {
 		return o.rng.Intn(len(o.points))
 	}
-	mu, sigma := o.posterior()
 	if o.exploitAfter > 0 && o.observed >= o.exploitAfter {
+		mu, _ := o.posterior(false)
 		return stats.ArgMax(mu)
 	}
+	mu, sigma := o.posterior(true)
 	best := stats.Max(o.ys)
 	bestIdx, bestEI := 0, math.Inf(-1)
 	for i := range o.points {
@@ -126,7 +144,8 @@ func (o *Optimizer) Suggest() int {
 	return bestIdx
 }
 
-// kernel is the RBF covariance between two normalized points.
+// kernel is the RBF covariance between two normalized points. It is
+// symmetric bit for bit: (a−b)² == (b−a)² in IEEE arithmetic.
 func (o *Optimizer) kernel(a, b []float64) float64 {
 	d2 := 0.0
 	for i := range a {
@@ -136,11 +155,12 @@ func (o *Optimizer) kernel(a, b []float64) float64 {
 	return math.Exp(-d2 / (2 * o.lengthSc * o.lengthSc))
 }
 
-// posterior computes the GP posterior mean and stddev at every
-// candidate. Values are standardized internally so the kernel
-// amplitude can stay at 1.
-func (o *Optimizer) posterior() (mu, sigma []float64) {
-	n := len(o.xs)
+// posterior computes the GP posterior mean at every candidate, and
+// the stddev too when needSigma is set (otherwise sigma may be nil).
+// Values are standardized internally so the kernel amplitude can stay
+// at 1.
+func (o *Optimizer) posterior(needSigma bool) (mu, sigma []float64) {
+	n := len(o.idx)
 	mean := stats.Mean(o.ys)
 	std := stats.StdDev(o.ys)
 	if std < 1e-9 {
@@ -152,10 +172,10 @@ func (o *Optimizer) posterior() (mu, sigma []float64) {
 	}
 	// K + noise·I
 	k := make([][]float64, n)
-	for i := range k {
+	for i, ci := range o.idx {
 		k[i] = make([]float64, n)
-		for j := range k[i] {
-			k[i][j] = o.kernel(o.xs[i], o.xs[j])
+		for j, cj := range o.idx {
+			k[i][j] = o.krow[ci][cj]
 		}
 		k[i][i] += o.noise
 	}
@@ -172,16 +192,25 @@ func (o *Optimizer) posterior() (mu, sigma []float64) {
 	}
 	alpha := choleskySolve(l, yc)
 
+	// μ accumulates over observations in window order for every
+	// candidate at once, reading each kernel row contiguously.
 	mu = make([]float64, len(o.points))
+	for j, c := range o.idx {
+		for i, kc := range o.krow[c] {
+			mu[i] += kc * alpha[j]
+		}
+	}
+	for i, m := range mu {
+		mu[i] = m*std + mean
+	}
+	if !needSigma {
+		return mu, nil
+	}
 	sigma = make([]float64, len(o.points))
 	kstar := make([]float64, n)
-	for i, p := range o.points {
-		for j := range o.xs {
-			kstar[j] = o.kernel(p, o.xs[j])
-		}
-		m := 0.0
-		for j := range kstar {
-			m += kstar[j] * alpha[j]
+	for i := range o.points {
+		for j, c := range o.idx {
+			kstar[j] = o.krow[c][i]
 		}
 		v := forwardSolve(l, kstar)
 		varReduction := 0.0
@@ -192,7 +221,6 @@ func (o *Optimizer) posterior() (mu, sigma []float64) {
 		if variance < 1e-12 {
 			variance = 1e-12
 		}
-		mu[i] = m*std + mean
 		sigma[i] = math.Sqrt(variance) * std
 	}
 	return mu, sigma

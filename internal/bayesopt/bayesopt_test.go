@@ -16,6 +16,29 @@ func grid1D(n int) [][]float64 {
 	return out
 }
 
+// grid150 builds a 6×5×5 grid of 150 candidates in [0,1]^3, the shape
+// of the Adaptive (BO) baseline's (B, E, K) grid.
+func grid150() [][]float64 {
+	var out [][]float64
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 5; j++ {
+			for k := 0; k < 5; k++ {
+				out = append(out, []float64{float64(i) / 5, float64(j) / 4, float64(k) / 4})
+			}
+		}
+	}
+	return out
+}
+
+// smooth3D is a unimodal test objective over [0,1]^3.
+func smooth3D(p []float64) float64 {
+	d := 0.0
+	for i, c := range []float64{0.7, 0.3, 0.55} {
+		d += (p[i] - c) * (p[i] - c)
+	}
+	return -d
+}
+
 func TestNewPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(nil, DefaultConfig(), stats.NewRNG(1)) },
@@ -165,5 +188,141 @@ func TestNormalHelpers(t *testing.T) {
 	}
 	if stdNormCDF(5) < 0.999 || stdNormCDF(-5) > 0.001 {
 		t.Error("CDF tails wrong")
+	}
+}
+
+// referencePosterior is the posterior as first written: one kernel call
+// per pair for both K and k*, and σ always computed. The memoized
+// posterior must match it bit for bit.
+func referencePosterior(o *Optimizer) (mu, sigma []float64) {
+	n := len(o.idx)
+	mean := stats.Mean(o.ys)
+	std := stats.StdDev(o.ys)
+	if std < 1e-9 {
+		std = 1
+	}
+	yc := make([]float64, n)
+	for i, y := range o.ys {
+		yc[i] = (y - mean) / std
+	}
+	k := make([][]float64, n)
+	for i := range k {
+		k[i] = make([]float64, n)
+		for j := range k[i] {
+			k[i][j] = o.kernel(o.points[o.idx[i]], o.points[o.idx[j]])
+		}
+		k[i][i] += o.noise
+	}
+	mu = make([]float64, len(o.points))
+	sigma = make([]float64, len(o.points))
+	l, ok := cholesky(k)
+	if !ok {
+		for i := range sigma {
+			mu[i] = mean
+			sigma[i] = std
+		}
+		return mu, sigma
+	}
+	alpha := choleskySolve(l, yc)
+	kstar := make([]float64, n)
+	for i, p := range o.points {
+		for j, c := range o.idx {
+			kstar[j] = o.kernel(p, o.points[c])
+		}
+		m := 0.0
+		for j := range kstar {
+			m += kstar[j] * alpha[j]
+		}
+		v := forwardSolve(l, kstar)
+		varReduction := 0.0
+		for _, x := range v {
+			varReduction += x * x
+		}
+		variance := 1 - varReduction
+		if variance < 1e-12 {
+			variance = 1e-12
+		}
+		mu[i] = m*std + mean
+		sigma[i] = math.Sqrt(variance) * std
+	}
+	return mu, sigma
+}
+
+// TestPosteriorMatchesReference drives the optimizer past both
+// ExploitAfter (50) and the Window slide (60) and checks, at every
+// step, that the memoized posterior and Suggest reproduce the
+// reference bit for bit.
+func TestPosteriorMatchesReference(t *testing.T) {
+	cand := grid150()
+	for _, seed := range []int64{1, 2, 3} {
+		cfg := DefaultConfig()
+		opt := New(cand, cfg, stats.NewRNG(seed))
+		noise := stats.NewRNG(seed + 100)
+		for step := 0; step < 200; step++ {
+			var want int
+			exploit := opt.observed >= cfg.ExploitAfter
+			if len(opt.idx) > 0 {
+				refMu, refSigma := referencePosterior(opt)
+				mu, sigma := opt.posterior(!exploit)
+				for i := range refMu {
+					if math.Float64bits(mu[i]) != math.Float64bits(refMu[i]) {
+						t.Fatalf("seed %d step %d: mu[%d] = %v, want %v", seed, step, i, mu[i], refMu[i])
+					}
+					if !exploit && math.Float64bits(sigma[i]) != math.Float64bits(refSigma[i]) {
+						t.Fatalf("seed %d step %d: sigma[%d] = %v, want %v", seed, step, i, sigma[i], refSigma[i])
+					}
+				}
+				if exploit {
+					want = stats.ArgMax(refMu)
+				} else {
+					best := stats.Max(opt.ys)
+					bestEI := math.Inf(-1)
+					for i := range refMu {
+						if ei := expectedImprovement(refMu[i], refSigma[i], best, opt.xi); ei > bestEI {
+							want, bestEI = i, ei
+						}
+					}
+				}
+			}
+			idx := opt.Suggest()
+			if len(opt.idx) > 0 && idx != want {
+				t.Fatalf("seed %d step %d: Suggest = %d, want %d", seed, step, idx, want)
+			}
+			opt.Observe(idx, smooth3D(cand[idx])+noise.Gaussian(0, 0.01))
+		}
+		if opt.Observations() != cfg.Window {
+			t.Fatalf("seed %d: window holds %d observations, want %d", seed, opt.Observations(), cfg.Window)
+		}
+	}
+}
+
+// BenchmarkSuggest times one BO round — Suggest then Observe — over the
+// Adaptive (BO) baseline's 150-point grid with a full observation
+// window. "ei" disables ExploitAfter so every round runs the
+// expected-improvement path; "exploit" keeps DefaultConfig, whose
+// window (60) is past ExploitAfter (50), so rounds maximize μ.
+func BenchmarkSuggest(b *testing.B) {
+	cand := grid150()
+	for _, mode := range []string{"ei", "exploit"} {
+		b.Run(mode, func(b *testing.B) {
+			cfg := DefaultConfig()
+			if mode == "ei" {
+				cfg.ExploitAfter = 0
+			}
+			opt := New(cand, cfg, stats.NewRNG(1))
+			noise := stats.NewRNG(2)
+			round := func() {
+				idx := opt.Suggest()
+				opt.Observe(idx, smooth3D(cand[idx])+noise.Gaussian(0, 0.01))
+			}
+			for opt.Observations() < cfg.Window {
+				round()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
 	}
 }

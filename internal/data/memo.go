@@ -1,11 +1,19 @@
 package data
 
+import "math/bits"
+
 // Memo caches a Partition's pure per-device signals (sample counts,
 // non-IID degrees, class counts) and owns the scratch buffer behind
 // coverage queries, so the simulation round loop stops re-deriving
 // identical entropy sums for every participant of every round. All
 // queries return bit-identical values to the Partition methods they
 // shadow — enforced by TestMemoMatchesPartition.
+//
+// Reset also builds one class bitset row per device — (NumClasses+63)/64
+// words, bit c set when the device holds any class-c sample — so a
+// coverage query ORs its participants' rows and counts bits instead of
+// scanning every class of every participant. The count is the same
+// integer the Partition method reaches, hence the same float.
 //
 // Reset is not safe for concurrent use; the query methods that take no
 // scratch (DeviceSamples, NonIIDDegree, DeviceClassCount,
@@ -18,7 +26,9 @@ type Memo struct {
 	degrees   []float64
 	classCnt  []int
 	classFrac []float64
-	covered   []bool
+	words     int      // uint64 words per class bitset row
+	classBits []uint64 // device d's row is classBits[d*words : (d+1)*words]
+	covered   []uint64 // coverage scratch, one row wide
 }
 
 // Reset points the memo at p and precomputes every per-device signal.
@@ -36,16 +46,28 @@ func (m *Memo) Reset(p Partition) {
 	m.degrees = m.degrees[:n]
 	m.classCnt = m.classCnt[:n]
 	m.classFrac = m.classFrac[:n]
+	m.words = (p.NumClasses + 63) / 64
+	if cap(m.classBits) < n*m.words {
+		m.classBits = make([]uint64, n*m.words)
+	}
+	m.classBits = m.classBits[:n*m.words]
+	clear(m.classBits)
 	for d := 0; d < n; d++ {
 		m.samples[d] = p.DeviceSamples(d)
 		m.degrees[d] = p.NonIIDDegree(d)
 		m.classCnt[d] = p.DeviceClassCount(d)
 		m.classFrac[d] = p.DeviceClassFraction(d)
+		row := m.classBits[d*m.words : (d+1)*m.words]
+		for c, cnt := range p.Counts[d] {
+			if cnt > 0 {
+				row[c/64] |= 1 << (c % 64)
+			}
+		}
 	}
-	if cap(m.covered) < p.NumClasses {
-		m.covered = make([]bool, p.NumClasses)
+	if cap(m.covered) < m.words {
+		m.covered = make([]uint64, m.words)
 	}
-	m.covered = m.covered[:p.NumClasses]
+	m.covered = m.covered[:m.words]
 }
 
 // DeviceSamples is Partition.DeviceSamples, memoized.
@@ -77,9 +99,8 @@ func (m *Memo) ParticipantSkew(devices []int) float64 {
 	return weighted / float64(totalSamples)
 }
 
-// ParticipantCoverage is Partition.ParticipantCoverage with the
-// coverage bitmap drawn from the memo's scratch instead of a per-call
-// allocation.
+// ParticipantCoverage is Partition.ParticipantCoverage over the
+// memoized class bitsets: the union of the participants' rows, counted.
 func (m *Memo) ParticipantCoverage(devices []int) float64 {
 	if m.p.NumClasses == 0 {
 		return 0
@@ -87,17 +108,13 @@ func (m *Memo) ParticipantCoverage(devices []int) float64 {
 	covered := m.covered
 	clear(covered)
 	for _, d := range devices {
-		for c, n := range m.p.Counts[d] {
-			if n > 0 {
-				covered[c] = true
-			}
+		for w, b := range m.classBits[d*m.words : (d+1)*m.words] {
+			covered[w] |= b
 		}
 	}
 	n := 0
-	for _, v := range covered {
-		if v {
-			n++
-		}
+	for _, b := range covered {
+		n += bits.OnesCount64(b)
 	}
 	return float64(n) / float64(m.p.NumClasses)
 }

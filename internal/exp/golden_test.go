@@ -11,25 +11,36 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_tiny.txt from this build's tables (say why in the change description)")
-
-// goldenPath pins the digest of every registry table at Tiny scale.
-var goldenPath = filepath.Join("testdata", "golden_tiny.txt")
+	"rewrite the testdata/golden_*.txt digests from this build's tables (say why in the change description)")
 
 // The reproduced numbers are the product: every registry experiment
-// run at Tiny scale must render exactly the Markdown it rendered when
-// testdata/golden_tiny.txt was last regenerated, so a refactor that
-// moves a single digit of any table fails here instead of drifting
-// silently across changes. sec54 runs but is not pinned: its overhead
-// rows are wall-clock measurements. Regenerate deliberately with
+// must render exactly the Markdown it rendered when its golden file was
+// last regenerated, so a refactor that moves a single digit of any
+// table fails here instead of drifting silently across changes. sec54
+// runs but is not pinned: its overhead rows are wall-clock
+// measurements. Regenerate deliberately with
 //
-//	go test ./internal/exp -run TestGoldenTinyTables -update-golden
+//	go test ./internal/exp -run 'TestGolden(Tiny|Quick)Tables' -update-golden
 func TestGoldenTinyTables(t *testing.T) {
+	checkGoldenTables(t, Tiny(), filepath.Join("testdata", "golden_tiny.txt"))
+}
+
+// TestGoldenQuickTables pins the same digests at the scale of
+// `fedgpo-report -quick` (100 devices, 300 rounds).
+func TestGoldenQuickTables(t *testing.T) {
+	checkGoldenTables(t, Quick(), filepath.Join("testdata", "golden_quick.txt"))
+}
+
+// checkGoldenTables runs every registry experiment except sec54 at
+// opts and compares one short SHA-256 digest per table with path (or
+// rewrites path under -update-golden).
+func checkGoldenTables(t *testing.T, opts Options, path string) {
+	t.Helper()
 	rt, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Tiny().WithRuntime(rt)
+	opts = opts.WithRuntime(rt)
 	var got strings.Builder
 	for _, e := range Registry() {
 		md := e.Run(opts).Markdown()
@@ -40,16 +51,16 @@ func TestGoldenTinyTables(t *testing.T) {
 		fmt.Fprintf(&got, "%s %x\n", e.ID, sum[:8])
 	}
 	if *updateGolden {
-		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden digests (regenerate with -update-golden): %v", err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("table digests drifted from %s:\n--- want ---\n%s--- got ---\n%s", goldenPath, want, got.String())
+		t.Errorf("table digests drifted from %s:\n--- want ---\n%s--- got ---\n%s", path, want, got.String())
 	}
 }
