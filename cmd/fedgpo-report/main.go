@@ -30,7 +30,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	results := flag.String("results", "", "write the structured result store to this path: a .jsonl path streams cells to disk as they complete (bounded memory), any other path buffers and writes one JSON array at exit")
 	compactResults := flag.String("compact-results", "", "instead of running experiments, compact the result log at this path (either format) into -results as the canonical JSON array")
-	verbose := flag.Bool("v", false, "per-job progress on stderr")
+	verbose := flag.Bool("v", false, "per-job progress and the telemetry summary on stderr")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -118,15 +118,11 @@ func main() {
 	// Flush deferred cache maintenance before snapshotting telemetry so
 	// the touch-flush counters cover the whole run.
 	_ = rt.Close()
-	st := rt.Stats()
-	pretrainRuns, pretrainKeys := rt.PretrainStats()
-	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d/%d pretrain warm-ups executed\n",
-		rtFlags.Backend, rt.Workers(), st.Runs, st.Hits, pretrainRuns, pretrainKeys)
+	m := rt.Metrics()
+	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d pretrain warm-ups executed\n",
+		rtFlags.Backend, rt.Workers(), m.Counters.SimsExecuted, m.Counters.CacheHits, m.Counters.PretrainRuns)
 	if *verbose {
-		for _, ep := range st.Endpoints {
-			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))
-		}
-		fmt.Fprint(os.Stderr, rt.Metrics().Summary())
+		fmt.Fprint(os.Stderr, m.Summary())
 	}
 	if err := rtFlags.WriteMetrics(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)

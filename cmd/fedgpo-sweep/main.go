@@ -46,7 +46,7 @@ func main() {
 	paramsFlag := flag.String("params", "8,10,20", "the (B,E,K) setting matrix/scenario-file cells run at")
 	seed := flag.Int64("seed", 1, "run seed")
 	resultsPath := flag.String("results", "", "write the structured result store to this path: a .jsonl path streams cells to disk as they complete (bounded memory), any other path buffers and writes one JSON array at exit")
-	verbose := flag.Bool("v", false, "per-endpoint dispatch stats on stderr")
+	verbose := flag.Bool("v", false, "telemetry summary on stderr (counters, phases, one line per endpoint)")
 	rtFlags := cli.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -213,18 +213,16 @@ func parseParams(s string) (fl.Params, error) {
 }
 
 // finish prints the runtime summary (the exact "runtime: ..." line CI
-// greps), the per-endpoint dispatch stats under -v, writes the
-// -metrics-out artifact, and finalizes the -results store.
+// greps), the telemetry summary under -v (one line per endpoint),
+// writes the -metrics-out artifact, and finalizes the -results store.
 func finish(rt *exp.Runtime, rtFlags *cli.RuntimeFlags, verbose bool, results string, streaming bool) {
 	// Flush deferred cache maintenance before snapshotting telemetry so
 	// the touch-flush counters cover the whole run.
 	_ = rt.Close()
-	st := rt.Stats()
-	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", st.Runs, st.Hits)
+	m := rt.Metrics()
+	fmt.Fprintf(os.Stderr, "runtime: %d cells simulated, %d served from cache\n", m.Counters.SimsExecuted, m.Counters.CacheHits)
 	if verbose {
-		for _, ep := range st.Endpoints {
-			fmt.Fprint(os.Stderr, cli.EndpointLine(ep))
-		}
+		fmt.Fprint(os.Stderr, m.Summary())
 	}
 	if err := rtFlags.WriteMetrics(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -9,6 +9,7 @@ import (
 
 	"fedgpo/internal/exp"
 	"fedgpo/internal/runtime"
+	"fedgpo/internal/telemetry"
 )
 
 func parse(t *testing.T, args ...string) *RuntimeFlags {
@@ -207,32 +208,36 @@ func TestRouteFlagParsesAndValidates(t *testing.T) {
 	}
 }
 
-// EndpointLine appends the scheduling view — affinity hit rate, stolen
-// jobs, pushed snapshot bytes — only when the router actually placed
-// work there, so pull-route and pool-backend summaries are unchanged.
-func TestEndpointLineSchedulingColumns(t *testing.T) {
+// The -v summary's endpoint line appends the scheduling view —
+// affinity hit rate, stolen jobs, pushed snapshot bytes — only when the
+// router actually placed work there, so pull-route and pool-backend
+// summaries are unchanged.
+func TestSummarySchedulingColumns(t *testing.T) {
+	line := func(ep runtime.EndpointStats) string {
+		return telemetry.Metrics{Endpoints: []runtime.EndpointStats{ep}}.Summary()
+	}
 	base := runtime.EndpointStats{Endpoint: "tcp:10.0.0.5:9331", Dispatched: 12, Retried: 1}
-	if line := EndpointLine(base); strings.Contains(line, "affinity") || strings.Contains(line, "snaps") {
-		t.Errorf("idle scheduling columns leaked into %q", line)
+	if s := line(base); strings.Contains(s, "affinity") || strings.Contains(s, "snaps") {
+		t.Errorf("idle scheduling columns leaked into %q", s)
 	}
 	ep := base
 	ep.AffinityHits, ep.AffinityMisses, ep.Stolen, ep.SnapBytesSent = 9, 3, 2, 4096
-	line := EndpointLine(ep)
-	for _, want := range []string{"9/12 affinity hits", "(2 stolen)", "4096 B snaps pushed"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("EndpointLine = %q, missing %q", line, want)
+	s := line(ep)
+	for _, want := range []string{"endpoint tcp:10.0.0.5:9331: 12 dispatched, 1 retried, 0 failed", "9/12 affinity hits", "(2 stolen)", "4096 B snaps pushed"} {
+		if !strings.Contains(s, want) {
+			t.Errorf("Summary = %q, missing %q", s, want)
 		}
 	}
 	// No steals -> no parenthetical.
 	ep.Stolen = 0
-	if line := EndpointLine(ep); strings.Contains(line, "stolen") {
-		t.Errorf("EndpointLine = %q, stray stolen column", line)
+	if s := line(ep); strings.Contains(s, "stolen") {
+		t.Errorf("Summary = %q, stray stolen column", s)
 	}
 }
 
-// Both -v summaries print the fleet in EndpointStats order, which the
-// coordinator sorts by name — so two runs over the same fleet list
-// endpoints identically regardless of dispatch timing.
+// The -v summary prints the fleet in EndpointStats order, which the
+// collector's snapshot sorts by name — so two runs over the same fleet
+// list endpoints identically regardless of dispatch timing.
 func TestEndpointOrderingDeterministic(t *testing.T) {
 	rt, err := parse(t, "-workers", "127.0.0.1:9332,127.0.0.1:9331").Runtime()
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -307,12 +306,10 @@ func TestScenarioMatrixTCPBackendWarmCache(t *testing.T) {
 //     simulations and reproduces the pool run's bytes exactly, Sec54
 //     included (cached replay) — without ever spawning a worker.
 func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
-	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	worker := buildWorker(t)
 
 	// Fresh pool run, persisted to disk.
 	poolDir := t.TempDir()
-	fixedBestCache = sync.Map{}
 	rtPool, err := NewRuntime(0, poolDir)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +322,6 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 	// Warm procs rerun over the pool run's cache. The worker binary is
 	// deliberately bogus: if any cell were dispatched instead of served
 	// from cache, the run would fail loudly.
-	fixedBestCache = sync.Map{}
 	warmCache, err := runtime.NewCache(poolDir)
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +345,6 @@ func TestProcsBackendMatchesPoolAcrossRegistry(t *testing.T) {
 	// Fresh procs run against its own cache directory: every cell
 	// actually executes inside worker subprocesses.
 	procsDir := t.TempDir()
-	fixedBestCache = sync.Map{}
 	procsCache, err := runtime.NewCache(procsDir)
 	if err != nil {
 		t.Fatal(err)

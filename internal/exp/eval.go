@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"fedgpo/internal/abs"
 	"fedgpo/internal/baseline"
@@ -11,22 +10,15 @@ import (
 	"fedgpo/internal/workload"
 )
 
-// fixedBestCache memoizes the grid-search result per workload and fleet
-// size — the paper's Fixed (Best) is selected once by offline
-// simulation in the ideal environment and reused everywhere.
-var fixedBestCache sync.Map // key string -> fl.Params
-
-// FixedBestParams returns (computing once) the Fixed (Best)
-// configuration for a workload under the given options. The coarse
-// grid search fans out over the options' runtime, and the selected
-// setting is memoized both in-process and — when a cache directory is
-// configured — in the content-addressed run cache, so warm reruns skip
-// the search entirely.
+// FixedBestParams returns (computing once per run cache) the Fixed
+// (Best) configuration for a workload under the given options — the
+// paper's Fixed (Best) is selected once by offline simulation in the
+// ideal environment and reused everywhere. The coarse grid search fans
+// out over the options' runtime, and the selected setting is stored in
+// that runtime's content-addressed run cache (on disk when a cache
+// directory is configured), so later figures and warm reruns skip the
+// search entirely.
 func FixedBestParams(w workload.Workload, o Options) fl.Params {
-	key := fmt.Sprintf("%s/%d/%d", w.Name, o.FleetSize, o.MaxRounds)
-	if v, ok := fixedBestCache.Load(key); ok {
-		return v.(fl.Params)
-	}
 	s := o.apply(Ideal(w))
 	rt := o.runtime()
 	// The key derives from the actual grid and seed values, so editing
@@ -39,7 +31,6 @@ func FixedBestParams(w workload.Workload, o Options) fl.Params {
 		p = rt.gridSearchBest(s, grid, seeds)
 		_ = rt.cache.Put(ck, p)
 	}
-	fixedBestCache.Store(key, p)
 	return p
 }
 
@@ -105,6 +96,7 @@ func Fig9(o Options) Table {
 		Header: []string{"workload", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
 	}
 	rt := o.runtime()
+	o = o.WithRuntime(rt) // contenders' Fixed (Best) search shares its run cache
 	var groups []compareGroup
 	for _, w := range workload.All() {
 		s := o.apply(Realistic(w))
@@ -127,6 +119,7 @@ func Fig10(o Options) Table {
 		Header: []string{"scenario", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
 	}
 	rt := o.runtime()
+	o = o.WithRuntime(rt) // contenders' Fixed (Best) search shares its run cache
 	var groups []compareGroup
 	for _, s := range []ScenarioSpec{
 		o.apply(Ideal(w)),
@@ -151,6 +144,7 @@ func Fig11(o Options) Table {
 		Header: []string{"scenario", "controller", "PPW (norm)", "conv speedup", "accuracy", "conv round"},
 	}
 	rt := o.runtime()
+	o = o.WithRuntime(rt) // contenders' Fixed (Best) search shares its run cache
 	var groups []compareGroup
 	for _, s := range []ScenarioSpec{
 		o.apply(Ideal(w)),

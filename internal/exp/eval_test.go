@@ -54,12 +54,24 @@ func TestFig12UsesPriorWorkContenders(t *testing.T) {
 	}
 }
 
+// The Fixed (Best) selection is cached in the runtime's run cache: a
+// second call under the same runtime re-runs no grid cell.
 func TestFixedBestParamsCachedAndValid(t *testing.T) {
 	w := workload.CNNMNIST()
-	a := FixedBestParams(w, Tiny())
-	b := FixedBestParams(w, Tiny())
+	rt, err := NewRuntime(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Tiny().WithRuntime(rt)
+	a := FixedBestParams(w, o)
+	searched := rt.Stats().Runs
+	b := FixedBestParams(w, o)
 	if a != b {
 		t.Error("cache returned different parameters for the same key")
+	}
+	if searched == 0 || rt.Stats().Runs != searched {
+		t.Errorf("grid search simulated %d cells, then %d more on the cached call; want > 0, then 0",
+			searched, rt.Stats().Runs-searched)
 	}
 	if !a.Valid() {
 		t.Errorf("grid search returned invalid params %v", a)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"fedgpo/internal/core"
 	"fedgpo/internal/fl"
@@ -29,10 +28,11 @@ type Runtime struct {
 	// onJob, when set, observes every job a batch submits (test hook
 	// for spec round-trip coverage).
 	onJob func(runtime.Job)
-	// col accumulates the runtime's telemetry: job-level hit/run
-	// counters from the executor, cache-level I/O from the cache,
-	// dispatch latency and retry/failover counters from the
-	// coordinator, and per-job phase timings folded in per result.
+	// col is the run's one accounting source: job-level counters from
+	// the executor, cache-level I/O from the cache, per-endpoint
+	// dispatch counters from the coordinator, and per-job phase timings
+	// and pretrain warm-ups folded in per result. Stats, PretrainStats
+	// and Metrics are views of it.
 	col *telemetry.Collector
 	// traceLevel, when non-empty, is stamped onto every JobSpec this
 	// runtime compiles (telemetry.TraceDecisions records RL decision
@@ -43,9 +43,8 @@ type Runtime struct {
 	// (scenario, controller config, warm-up seed/rounds) key per
 	// process, no matter how many cells across how many workers request
 	// the same pretrained Q-tables concurrently.
-	pretrainMu   sync.Mutex
-	pretrains    map[string]*pretrainEntry
-	pretrainRuns atomic.Int64
+	pretrainMu sync.Mutex
+	pretrains  map[string]*pretrainEntry
 	// builtSnaps holds the serialized artifacts of snapshots this
 	// process built from scratch, keyed by pretrain key and guarded by
 	// pretrainMu. Each artifact is taken exactly once, by the first
@@ -94,16 +93,11 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 		col:       telemetry.NewCollector(),
 	}
 	// Telemetry is wired by construction: executor (job-level counters,
-	// per-job phase fold-in), cache (I/O timings, mem/disk hit split)
-	// and, when the backend is a coordinator, per-endpoint dispatch
-	// latency plus retry/failover counters.
+	// per-job phase fold-in; it hands the collector on to a coordinator
+	// backend for the per-endpoint counters) and cache (I/O timings,
+	// mem/disk hit split).
 	r.exec.SetCollector(r.col)
 	cache.SetCollector(r.col)
-	if bc, ok := b.(interface {
-		SetCollector(*telemetry.Collector)
-	}); ok {
-		bc.SetCollector(r.col)
-	}
 	// A coordinator backend additionally gets the run cache so worker-
 	// returned pretrain snapshots persist under their own keys
 	// and re-ship fleet-wide.
@@ -115,7 +109,7 @@ func NewRuntimeWithBackend(b runtime.Backend, cache *runtime.Cache) *Runtime {
 	return r
 }
 
-// Stats returns the executor's lifetime cache-hit/run counters.
+// Stats returns the run's job-level and per-endpoint counters.
 func (r *Runtime) Stats() runtime.Stats { return r.exec.Stats() }
 
 // Close flushes the runtime's deferred cache maintenance (queued LRU
@@ -134,24 +128,8 @@ func (r *Runtime) SetTraceLevel(level string) { r.traceLevel = level }
 // TraceLevel returns the configured decision-trace level.
 func (r *Runtime) TraceLevel() string { return r.traceLevel }
 
-// Metrics snapshots the runtime's accumulated telemetry, with the
-// coordinator's authoritative per-endpoint dispatch counters folded
-// onto the endpoints' latency histograms. The snapshot's job-level
-// counters reconcile with Stats by construction: SimsExecuted ==
-// Stats().Runs and CacheHits == Stats().Hits.
-func (r *Runtime) Metrics() telemetry.Metrics {
-	m := r.col.Snapshot()
-	for _, ep := range r.exec.Stats().Endpoints {
-		m.SetEndpointCounts(ep.Endpoint, telemetry.EndpointCounts{
-			Dispatched: ep.Dispatched, Retried: ep.Retried, Failed: ep.Failed,
-			BytesSent: ep.BytesSent, BytesRecv: ep.BytesRecv,
-			Frames: ep.Frames, Specs: ep.Specs,
-			AffinityHits: ep.AffinityHits, AffinityMisses: ep.AffinityMisses,
-			Stolen: ep.Stolen, SnapBytesSent: ep.SnapBytesSent,
-		})
-	}
-	return m
-}
+// Metrics snapshots the runtime's accumulated telemetry.
+func (r *Runtime) Metrics() telemetry.Metrics { return r.col.Snapshot() }
 
 // Workers returns the execution backend's parallelism.
 func (r *Runtime) Workers() int { return r.exec.Workers() }
@@ -163,16 +141,18 @@ func (r *Runtime) Workers() int { return r.exec.Workers() }
 func (r *Runtime) SetInnerParallel(int) {}
 
 // PretrainStats reports the pretrained-controller cache's activity:
-// runs is how many Q-table warm-ups actually executed in this process,
-// distinct how many distinct pretrain keys were requested. On a cold
-// run runs == distinct (exactly one warm-up per scenario/config); on a
-// warm disk-cache rerun runs == 0. Under the procs backend the
-// warm-ups execute inside worker subprocesses, so the coordinator's
-// counters stay at zero.
+// runs is how many Q-table warm-ups actually executed anywhere in the
+// fleet (Counters.PretrainRuns — under the procs backend the warm-ups
+// execute inside the workers, whose per-job telemetry carries them
+// home), distinct how many distinct pretrain keys this process
+// requested (zero on a coordinator). On a cold pool run runs ==
+// distinct (exactly one warm-up per scenario/config); on a warm
+// disk-cache rerun runs == 0.
 func (r *Runtime) PretrainStats() (runs, distinct int) {
+	runs = int(r.Metrics().Counters.PretrainRuns)
 	r.pretrainMu.Lock()
 	defer r.pretrainMu.Unlock()
-	return int(r.pretrainRuns.Load()), len(r.pretrains)
+	return runs, len(r.pretrains)
 }
 
 // pretrainedSnapshot returns (building at most once per process, and
@@ -210,7 +190,6 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 			warmCfg := s.Config(warmSeed)
 			warmCfg.MaxRounds = warmRounds
 			snap := core.PretrainSnapshot(cfg, warmCfg)
-			r.pretrainRuns.Add(1)
 			_ = r.cache.Put(key, snap)
 			// Keep the serialized artifact so the first finished job
 			// sharing this key can carry it to the coordinator

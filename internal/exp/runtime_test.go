@@ -2,7 +2,6 @@ package exp
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"fedgpo/internal/device"
@@ -68,10 +67,6 @@ func TestPretrainPanicReplaysToEveryCell(t *testing.T) {
 // executes exactly one Q-table warm-up per distinct pretrain key
 // (scenario × controller config), and the warm rerun executes none.
 func TestWarmCacheRerunZeroSimulations(t *testing.T) {
-	// Drop any fixed-best selection memoized by earlier tests at this
-	// deployment scale: the cold run must select (and disk-cache) it
-	// itself, or the warm rerun would have to re-run the grid search.
-	fixedBestCache = sync.Map{}
 	dir := t.TempDir()
 	ids := []string{"fig1", "fig5", "fig6", "fig11", "tab5", "sec54"}
 
@@ -106,11 +101,6 @@ func TestWarmCacheRerunZeroSimulations(t *testing.T) {
 			coldWarmups, coldKeys)
 	}
 
-	// Drop the in-process fixed-best memo so the warm rerun exercises
-	// the disk-cache path for the grid-search selection too, as a real
-	// cross-process rerun would.
-	fixedBestCache = sync.Map{}
-
 	rt2, err := NewRuntime(0, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +118,30 @@ func TestWarmCacheRerunZeroSimulations(t *testing.T) {
 	}
 	if warm != cold {
 		t.Error("warm-cache rerun produced different bytes than the cold run")
+	}
+}
+
+// A Runtime is the whole state of a run: two fresh runtimes in one
+// process simulate the same cells and render the same tables, so
+// nothing (the Fixed (Best) grid search included) is memoized
+// process-wide behind the run cache's back.
+func TestFreshRuntimesSimulateAlike(t *testing.T) {
+	var runs [2]int64
+	var tables [2]string
+	for i := range runs {
+		rt, err := NewRuntime(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Tiny().WithRuntime(rt)
+		tables[i] = Fig9(opts).String() + Fig12(opts).String()
+		runs[i] = rt.Stats().Runs
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("fresh runtimes simulated %d then %d cells for fig9+fig12, want equal", runs[0], runs[1])
+	}
+	if tables[0] != tables[1] {
+		t.Error("fresh runtimes rendered different fig9+fig12 tables")
 	}
 }
 

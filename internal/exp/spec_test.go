@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"fedgpo/internal/fl"
@@ -58,8 +57,6 @@ func comparableResult(t *testing.T, kind string, r runtime.Result) string {
 // executing it there must reproduce the in-process run byte for byte —
 // same canonical key, same simulator output, same Extra payload.
 func TestSpecRoundTripRegistry(t *testing.T) {
-	fixedBestCache = sync.Map{}
-	t.Cleanup(func() { fixedBestCache = sync.Map{} })
 	rtA, err := NewRuntime(0, "")
 	if err != nil {
 		t.Fatal(err)

@@ -227,21 +227,34 @@ func TestTraceReplayCostsOneRunThenZero(t *testing.T) {
 	}
 }
 
-// Metrics reconcile with the executor by construction, and the phase
-// clocks cover the instrumented stages: pretrain (controller build),
-// rounds and merge (simulator), cache write (disk persistence).
+// The collector counts every job outcome — executed, replayed, failed —
+// and the phase clocks cover the instrumented stages: pretrain
+// (controller build), rounds and merge (simulator), cache write (disk
+// persistence).
 func TestMetricsReconcileAndCoverPhases(t *testing.T) {
 	rt, err := NewRuntime(0, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	telemetryRun(t, rt)
-	m, st := rt.Metrics(), rt.Stats()
-	if m.Counters.SimsExecuted != int64(st.Runs) {
-		t.Errorf("SimsExecuted = %d, stats Runs = %d", m.Counters.SimsExecuted, st.Runs)
+	before := rt.Metrics().Counters
+	if before.SimsExecuted != 2 || before.CacheHits != 0 || before.JobErrors != 0 {
+		t.Fatalf("cold run counters = %+v, want 2 sims, 0 hits, 0 errors", before)
 	}
-	if m.Counters.CacheHits != int64(st.Hits) {
-		t.Errorf("CacheHits = %d, stats Hits = %d", m.Counters.CacheHits, st.Hits)
+	// A panicking job is an executed sim and a job error; its error
+	// result is never cached, so running it again fails again.
+	boom := runtime.Job{Kind: "sim", Scenario: "boom", Seed: 1, Run: func() runtime.Result { panic("kaboom") }}
+	for i := 0; i < 2; i++ {
+		if res := rt.RunJob(boom); !strings.Contains(res.Err, "kaboom") {
+			t.Fatalf("panicking job result err = %q", res.Err)
+		}
+	}
+	m, st := rt.Metrics(), rt.Stats()
+	if m.Counters.JobErrors != 2 || st.Errors != 2 {
+		t.Errorf("JobErrors = %d, stats Errors = %d, want 2", m.Counters.JobErrors, st.Errors)
+	}
+	if m.Counters.SimsExecuted != before.SimsExecuted+2 || m.Counters.CacheHits != before.CacheHits {
+		t.Errorf("counters after two failed jobs = %+v, want sims +2 and hits unchanged from %+v", m.Counters, before)
 	}
 	for _, phase := range []string{telemetry.PhasePretrain, telemetry.PhaseRounds, telemetry.PhaseMerge, telemetry.PhaseCacheWrite} {
 		if m.Phases[phase].Count == 0 {

@@ -357,7 +357,7 @@ func tcpServeSnaps(t *testing.T, installs *sync.Map) (addr string, shutdown func
 // its response, the coordinator pools and persists it under its own
 // cache key, and a later batch for the same affinity key pre-pushes
 // the artifact to a worker process not known to hold it — metered in
-// the endpoint stats and telemetry counters.
+// the endpoint's entry of the attached collector.
 func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	var installs sync.Map
 	addr, shutdown := tcpServeSnaps(t, &installs)
@@ -410,7 +410,7 @@ func TestCoordinatorPoolsAndShipsSnapshots(t *testing.T) {
 	if st[0].SnapBytesSent != int64(len(snapArtifact)) {
 		t.Errorf("endpoint metered %d snapshot bytes, want %d", st[0].SnapBytesSent, len(snapArtifact))
 	}
-	if m := col.Snapshot(); m.Counters.SnapshotBytesShipped != int64(len(snapArtifact)) {
-		t.Errorf("counters.SnapshotBytesShipped = %d, want %d", m.Counters.SnapshotBytesShipped, len(snapArtifact))
+	if m := col.Snapshot(); len(m.Endpoints) != 1 || m.Endpoints[0].SnapBytesSent != int64(len(snapArtifact)) {
+		t.Errorf("collector endpoints = %+v, want one with SnapBytesSent %d", m.Endpoints, len(snapArtifact))
 	}
 }

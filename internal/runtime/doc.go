@@ -76,8 +76,9 @@
 // Result with Err set while the rest of the batch completes. Progress
 // callbacks fire once per completed job (serialized by a mutex) and
 // report done/total counts plus whether the cell was served from
-// cache. Stats snapshots are taken under one lock, so hits/runs/
-// errors are always mutually consistent even mid-batch.
+// cache. Stats is a view of one snapshot of the executor's telemetry
+// collector, so hits/runs/errors are always mutually consistent even
+// mid-batch.
 //
 // Two backends exist:
 //
@@ -192,8 +193,9 @@
 // streamed to the executor. A session whose budget runs out hands its
 // jobs back to the queue for surviving endpoints to absorb; only when the whole fleet
 // is gone do remaining jobs surface as error results. Per-endpoint
-// dispatch/retry/give-up counters are snapshotted into
-// Executor.Stats().Endpoints under a single lock.
+// dispatch/retry/give-up counters are recorded in the collector the
+// coordinator shares with its executor, and read back through
+// Executor.Stats().Endpoints.
 //
 // Workers share the coordinator's -cachedir when colocated: run
 // results and pretrained-controller snapshots written by one process
@@ -274,7 +276,7 @@
 // artifacts before running the request, resolving its pretrain
 // singleflight without executing the warm-up. Per-endpoint
 // AffinityHits/AffinityMisses/Stolen tallies and pushed-snapshot bytes
-// land in the -v summaries and the -metrics-out artifact beside the
+// land in the -v summary and the -metrics-out artifact beside the
 // dispatch counters.
 //
 // # Cache format
@@ -371,17 +373,20 @@
 //
 // # Telemetry
 //
-// The runtime is instrumented against a telemetry.Collector (wired by
-// the exp.Runtime constructor, nil-safe everywhere so uninstrumented
-// embedders pay nothing):
+// The runtime is instrumented against a telemetry.Collector, the one
+// place a run's counters are stored. NewExecutorBackend and
+// NewCoordinator each start with a fresh one, so a bare executor or
+// coordinator still counts; Executor.SetCollector swaps it for the
+// executor and its coordinator backend together, and the exp.Runtime
+// constructor hands the same collector to the cache too:
 //
-//   - The executor mirrors its job-level accounting into the
-//     collector as each result lands — SimsExecuted for a computed
-//     cell, CacheHits for a replay — so the metrics counters reconcile
-//     with Executor.Stats by construction. Per-job phase timings
-//     attached to a Result (Result.Telemetry) are folded in at the
-//     same point, whether the cell ran in-process or arrived over the
-//     wire's "metrics" field.
+//   - The executor counts each result as it lands — SimsExecuted for a
+//     computed cell, CacheHits for a replay, JobErrors for a failure —
+//     and Executor.Stats reads those counters back, so there is no
+//     second tally to reconcile. Per-job phase timings and pretrain
+//     warm-ups attached to a Result (Result.Telemetry) are folded in at
+//     the same point, whether the cell ran in-process or arrived over
+//     the wire's "metrics" field.
 //   - The cache times every Get/Put as cacheRead/cacheWrite phases
 //     (payload JSON decode separately as cacheDecode), splits hits
 //     into CacheMemHits, CachePayloadHits (decoded-payload layer) and
@@ -393,11 +398,14 @@
 //     jobs.
 //   - The coordinator times each dispatch Send→Recv into a
 //     per-endpoint latency histogram (exponential 1ms-base buckets)
-//     and counts Retries and Failovers as sessions fail. Sessions
+//     and counts each endpoint's retried sessions and given-up jobs
+//     (their fleet totals are Counters.Retries and Failovers). Sessions
 //     meter raw bytes both ways (handshake included) and the
-//     coordinator folds the totals — plus request-frame and spec
-//     counts, whose ratio is the realized batch density — into the
-//     per-endpoint stats the -v summaries print.
+//     coordinator records them — plus request-frame and spec counts,
+//     whose ratio is the realized batch density, and the affinity
+//     router's hits, misses, steals and pushed snapshot bytes — in the
+//     endpoint's collector entry, which the -v summary prints as one
+//     line per endpoint.
 //
 // Provenance: because wall-clock measurements (the sec54 probe's
 // overhead timers, ControllerOverheadSec) are replayed verbatim on a

@@ -19,23 +19,23 @@ type Progress struct {
 	Failed bool
 }
 
-// Stats counts the executor's lifetime activity.
+// Stats is a view of the job-level counters in the executor's
+// telemetry collector, taken from one Snapshot so the fields are
+// mutually consistent even mid-batch.
 type Stats struct {
 	// Hits counts jobs served from the run cache — by this executor
 	// directly or, under the procs backend, by a worker subprocess
-	// reading the shared cache directory.
+	// reading the shared cache directory (Counters.CacheHits).
 	Hits int64
-	// Runs counts jobs whose body actually executed (cache misses plus
-	// all jobs when no cache is attached).
+	// Runs counts jobs whose body actually executed: cache misses plus
+	// all jobs when no cache is attached (Counters.SimsExecuted).
 	Runs int64
 	// Errors counts jobs whose body panicked or whose worker shard
-	// failed.
+	// failed (Counters.JobErrors).
 	Errors int64
 	// Endpoints holds the per-endpoint dispatch counters when the
-	// backend is a shard coordinator (nil for in-process backends).
-	// Each endpoint's counters are snapshotted under the coordinator's
-	// single lock, so dispatched/retried/failed are mutually consistent
-	// per endpoint even mid-batch.
+	// backend is a shard coordinator sharing the collector (nil for
+	// in-process backends).
 	Endpoints []EndpointStats
 }
 
@@ -48,12 +48,6 @@ type Executor struct {
 	col        *telemetry.Collector
 	progressMu sync.Mutex
 	onProgress func(Progress)
-
-	// statsMu guards stats as one unit so Stats returns a consistent
-	// snapshot — hits/runs/errors counted under a single lock, never
-	// three independent atomic loads interleaving with a running batch.
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // NewExecutor returns an executor on the in-process pool backend with
@@ -64,9 +58,13 @@ func NewExecutor(workers int, cache *Cache) *Executor {
 }
 
 // NewExecutorBackend returns an executor on an explicit execution
-// backend with an optional run cache (nil runs every job).
+// backend with an optional run cache (nil runs every job). It counts
+// into a fresh telemetry collector, shared with the backend when the
+// backend records into one; SetCollector swaps it.
 func NewExecutorBackend(backend Backend, cache *Cache) *Executor {
-	return &Executor{backend: backend, cache: cache}
+	e := &Executor{backend: backend, cache: cache}
+	e.SetCollector(telemetry.NewCollector())
+	return e
 }
 
 // Workers returns the backend's parallelism.
@@ -82,12 +80,19 @@ func (e *Executor) Backend() Backend { return e.backend }
 // Callbacks are serialized; fn need not be safe for concurrent use.
 func (e *Executor) SetProgress(fn func(Progress)) { e.onProgress = fn }
 
-// SetCollector attaches a telemetry collector. The executor counts
-// job-level cache hits and executed sims into it (so its counters
-// reconcile with Stats by construction) and folds each result's
-// per-job phase timings — local or carried back over the wire — into
-// the same collector. A nil collector disables recording.
-func (e *Executor) SetCollector(col *telemetry.Collector) { e.col = col }
+// SetCollector replaces the executor's telemetry collector (col must
+// be non-nil) and hands it to the backend when the backend records
+// into one (the coordinator's per-endpoint dispatch counters), so one
+// collector holds the run's whole account. The executor counts each
+// job as a cache hit, an executed sim or an error into it, and folds
+// in each result's per-job telemetry — local or carried back over the
+// wire.
+func (e *Executor) SetCollector(col *telemetry.Collector) {
+	e.col = col
+	if b, ok := e.backend.(interface{ SetCollector(*telemetry.Collector) }); ok {
+		b.SetCollector(col)
+	}
+}
 
 // Close flushes deferred cache maintenance — today the queued LRU
 // mtime touches coalesced off the hit path. It does not shut the
@@ -101,39 +106,30 @@ func (e *Executor) Close() error {
 	return nil
 }
 
-// Stats returns one consistent snapshot of the lifetime
-// hit/run/error counters, with the backend's per-endpoint dispatch
-// counters attached when it tracks them.
+// Stats returns the job-level counters and per-endpoint dispatch
+// counters read from one snapshot of the executor's collector.
 func (e *Executor) Stats() Stats {
-	e.statsMu.Lock()
-	s := e.stats
-	e.statsMu.Unlock()
-	if es, ok := e.backend.(EndpointStatser); ok {
-		s.Endpoints = es.EndpointStats()
+	m := e.col.Snapshot()
+	return Stats{
+		Hits:      m.Counters.CacheHits,
+		Runs:      m.Counters.SimsExecuted,
+		Errors:    m.Counters.JobErrors,
+		Endpoints: m.Endpoints,
 	}
-	return s
 }
 
-// count applies one completed result to the stats snapshot and mirrors
-// it into the telemetry collector: CacheHits tracks Hits and
-// SimsExecuted tracks Runs exactly, which is what lets a metrics
-// artifact reconcile against Stats.
+// count records one completed result in the collector — a cache hit
+// or an executed sim, and an error when it failed — and folds in the
+// result's per-job telemetry.
 func (e *Executor) count(r Result) {
-	e.statsMu.Lock()
-	if r.Cached {
-		e.stats.Hits++
-	} else {
-		e.stats.Runs++
-	}
-	if r.Err != "" {
-		e.stats.Errors++
-	}
-	e.statsMu.Unlock()
 	e.col.Count(func(c *telemetry.Counters) {
 		if r.Cached {
 			c.CacheHits++
 		} else {
 			c.SimsExecuted++
+		}
+		if r.Err != "" {
+			c.JobErrors++
 		}
 	})
 	if r.Telemetry != nil {

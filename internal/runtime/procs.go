@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	stdruntime "runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -179,65 +178,30 @@ type ProcConfig struct {
 	Route string
 }
 
-// EndpointStats is one endpoint's dispatch counters within a
-// coordinator, snapshotted under a single lock.
-type EndpointStats struct {
-	// Endpoint is the transport's name ("stdio:fedgpo-worker",
-	// "tcp:host:port").
-	Endpoint string `json:"endpoint"`
-	// Dispatched counts requests sent to the endpoint, resends
-	// included.
-	Dispatched int64 `json:"dispatched"`
-	// Retried counts session failures that were retried on a fresh
-	// session (the failing session's unanswered job is resent; answered
-	// jobs never are).
-	Retried int64 `json:"retried"`
-	// Failed counts jobs this endpoint gave up on after its retry
-	// budget ran out — handed back to the fleet, and surfaced as error
-	// results only when no endpoint could take them.
-	Failed int64 `json:"failed"`
-	// BytesSent / BytesRecv meter raw bytes moved on the endpoint's
-	// sessions as seen from the coordinator's edge of the transport,
-	// handshake frames included. Zero for sessions that don't meter
-	// (scripted test conns).
-	BytesSent int64 `json:"bytesSent,omitempty"`
-	BytesRecv int64 `json:"bytesRecv,omitempty"`
-	// Frames counts request frames sent (responses mirror them 1:1);
-	// Specs counts the specs those frames carried. Specs/Frames is the
-	// realized batch density, up to the fair-share cap of
-	// maxSpecsPerFrame.
-	Frames int64 `json:"frames,omitempty"`
-	Specs  int64 `json:"specs,omitempty"`
-	// AffinityHits counts affinity-keyed jobs this endpoint ran as
-	// their group's home (co-located with their pretrain siblings);
-	// AffinityMisses counts affinity-keyed jobs it ran away from their
-	// home (overflowed or stolen singles). Always zero under -route=pull.
-	AffinityHits   int64 `json:"affinityHits,omitempty"`
-	AffinityMisses int64 `json:"affinityMisses,omitempty"`
-	// Stolen counts jobs this endpoint took from another endpoint's
-	// planned share — whole-group adoptions from dead or straggling
-	// endpoints plus snapshot-backed singles.
-	Stolen int64 `json:"stolen,omitempty"`
-	// SnapBytesSent meters serialized snapshot bytes pre-pushed to this
-	// endpoint.
-	SnapBytesSent int64 `json:"snapBytesSent,omitempty"`
-}
+// EndpointStats is one endpoint's dispatch counters, as recorded in
+// the coordinator's telemetry collector.
+type EndpointStats = telemetry.Endpoint
 
-// EndpointStatser is implemented by backends that track per-endpoint
-// dispatch counters; Executor.Stats folds them into its snapshot.
+// EndpointStatser is implemented by backends that expose per-endpoint
+// dispatch counters.
+//
+// Deprecated: Executor.Stats reads the endpoints from its collector,
+// which it shares with the backend; kept only so prodbench/ builds —
+// remove with the next prodbench change.
 type EndpointStatser interface {
 	EndpointStats() []EndpointStats
 }
 
 // endpoint is one worker endpoint under the coordinator: a transport
-// plus its learned capacity and dispatch counters.
+// plus its learned capacity. Its dispatch counters live in the
+// coordinator's collector under name.
 type endpoint struct {
 	transport Transport
+	name      string
 	// capacity is the endpoint's session count: configured for stdio,
 	// learned from the hello for TCP (1 until first probed). Guarded by
 	// the coordinator's mutex.
 	capacity int
-	stats    EndpointStats
 	// known tracks snapshot keys the worker process behind this
 	// endpoint is known to hold, so the coordinator pushes each
 	// artifact at most once. Only maintained for endpoints whose hello
@@ -277,11 +241,19 @@ type Coordinator struct {
 	snaps  map[string]json.RawMessage
 }
 
-// SetCollector attaches a telemetry collector. The coordinator records
-// per-endpoint dispatch latency (request Send to response Recv, so a
-// cell's worker-side execution time is included) plus retry and
-// failover counters into it. A nil collector disables recording.
-func (c *Coordinator) SetCollector(col *telemetry.Collector) { c.col = col }
+// SetCollector replaces the coordinator's telemetry collector (col
+// must be non-nil) and registers every configured endpoint in it with
+// zero counters, so idle endpoints still show. The coordinator records
+// each endpoint's dispatch, wire, scheduling, retry and failover
+// counters and its dispatch latency (request Send to response Recv, so
+// a cell's worker-side execution time is included) there and nowhere
+// else.
+func (c *Coordinator) SetCollector(col *telemetry.Collector) {
+	c.col = col
+	for _, ep := range c.endpoints {
+		col.Endpoint(ep.name, func(*telemetry.Endpoint) {})
+	}
+}
 
 // SetCache attaches the coordinator's run cache so snapshot artifacts
 // returned by workers are persisted under their own keys — a later
@@ -302,33 +274,25 @@ func NewProcBackend(cfg ProcConfig) *Coordinator {
 			cfg.Procs = stdruntime.GOMAXPROCS(0)
 		}
 	}
-	c := &Coordinator{cfg: cfg}
+	var transports []Transport
 	if cfg.Procs > 0 {
-		c.endpoints = append(c.endpoints, &endpoint{
-			transport: &StdioTransport{
-				WorkerBin: cfg.WorkerBin,
-				Procs:     cfg.Procs,
-				CacheDir:  cfg.CacheDir,
-				Env:       cfg.Env,
-			},
-			capacity: cfg.Procs,
+		transports = append(transports, &StdioTransport{
+			WorkerBin: cfg.WorkerBin,
+			Procs:     cfg.Procs,
+			CacheDir:  cfg.CacheDir,
+			Env:       cfg.Env,
 		})
 	}
 	for _, addr := range cfg.Workers {
-		c.endpoints = append(c.endpoints, &endpoint{
-			transport: &TCPTransport{Addr: addr, ReplyTimeout: cfg.ReplyTimeout},
-			capacity:  1, // refined by the first hello
-		})
+		transports = append(transports, &TCPTransport{Addr: addr, ReplyTimeout: cfg.ReplyTimeout})
 	}
-	for _, ep := range c.endpoints {
-		ep.stats.Endpoint = ep.transport.Name()
-	}
-	return c
+	return NewCoordinator(cfg, transports...)
 }
 
 // NewCoordinator returns a coordinator over explicit transports —
 // the constructor behind NewProcBackend, exposed for custom endpoint
-// fleets and transport-level tests.
+// fleets and transport-level tests. It records into a fresh telemetry
+// collector until SetCollector swaps it.
 func NewCoordinator(cfg ProcConfig, transports ...Transport) *Coordinator {
 	c := &Coordinator{cfg: cfg}
 	for _, t := range transports {
@@ -336,9 +300,9 @@ func NewCoordinator(cfg ProcConfig, transports ...Transport) *Coordinator {
 		if cap < 1 {
 			cap = 1 // refined by the first hello
 		}
-		c.endpoints = append(c.endpoints, &endpoint{transport: t, capacity: cap,
-			stats: EndpointStats{Endpoint: t.Name()}})
+		c.endpoints = append(c.endpoints, &endpoint{transport: t, name: t.Name(), capacity: cap})
 	}
+	c.SetCollector(telemetry.NewCollector())
 	return c
 }
 
@@ -358,19 +322,9 @@ func (c *Coordinator) Workers() int {
 	return total
 }
 
-// EndpointStats snapshots the per-endpoint dispatch counters under one
-// lock, sorted by endpoint name so every consumer — both -v summaries,
-// the metrics JSON — prints the fleet in the same deterministic order.
-func (c *Coordinator) EndpointStats() []EndpointStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]EndpointStats, len(c.endpoints))
-	for i, ep := range c.endpoints {
-		out[i] = ep.stats
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
-	return out
-}
+// EndpointStats returns the per-endpoint dispatch counters from one
+// snapshot of the coordinator's collector, sorted by endpoint name.
+func (c *Coordinator) EndpointStats() []EndpointStats { return c.col.Snapshot().Endpoints }
 
 // snapshotData returns the pooled artifact bytes for key, or nil.
 func (c *Coordinator) snapshotData(key string) json.RawMessage {
@@ -438,7 +392,7 @@ func (c *Coordinator) markSnapKnown(ep *endpoint, shared bool, sess map[string]b
 }
 
 // queueStats is a dispatcher's per-endpoint scheduling tally, folded
-// into EndpointStats and the telemetry counters after the batch.
+// into the endpoint's collector entry after the batch.
 type queueStats struct {
 	affinityHits   int64
 	affinityMisses int64
@@ -601,25 +555,13 @@ func (c *Coordinator) Run(jobs []Job, done func(int, Result)) []Result {
 	}
 	wg.Wait()
 
-	// Fold the dispatcher's scheduling tallies into the per-endpoint
-	// stats and the batch-level counters.
-	var hits, misses, stolen int64
-	c.mu.Lock()
+	// Fold the dispatcher's scheduling tallies into the endpoints.
 	for epi, ep := range c.endpoints {
 		qs := queue.stats(epi)
-		ep.stats.AffinityHits += qs.affinityHits
-		ep.stats.AffinityMisses += qs.affinityMisses
-		ep.stats.Stolen += qs.stolen
-		hits += qs.affinityHits
-		misses += qs.affinityMisses
-		stolen += qs.stolen
-	}
-	c.mu.Unlock()
-	if hits+misses+stolen > 0 {
-		c.col.Count(func(cc *telemetry.Counters) {
-			cc.AffinityHits += hits
-			cc.AffinityMisses += misses
-			cc.StolenJobs += stolen
+		c.col.Endpoint(ep.name, func(e *telemetry.Endpoint) {
+			e.AffinityHits += qs.affinityHits
+			e.AffinityMisses += qs.affinityMisses
+			e.Stolen += qs.stolen
 		})
 	}
 
@@ -755,11 +697,7 @@ func (c *Coordinator) runSession(epi int, ep *endpoint, conn Conn, specs int, jo
 		if failures >= 2 {
 			// Retry budget spent: hand the unanswered jobs back.
 			queue.requeue(carried...)
-			n := int64(len(carried))
-			c.mu.Lock()
-			ep.stats.Failed += n
-			c.mu.Unlock()
-			c.col.Count(func(cc *telemetry.Counters) { cc.Failovers += n })
+			c.col.Endpoint(ep.name, func(e *telemetry.Endpoint) { e.Failed += int64(len(carried)) })
 			return
 		}
 		if conn == nil {
@@ -826,21 +764,16 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 				}
 			}
 		}
-		if pushed > 0 {
-			c.mu.Lock()
-			ep.stats.SnapBytesSent += pushed
-			c.mu.Unlock()
-			c.col.Count(func(cc *telemetry.Counters) { cc.SnapshotBytesShipped += pushed })
-		}
 		sent := time.Now()
 		if err := conn.SendBatch(reqs); err != nil {
 			return frame, fmt.Errorf("sending %q: %w", keys[frame[0]], err)
 		}
-		c.mu.Lock()
-		ep.stats.Dispatched += int64(len(frame))
-		ep.stats.Frames++
-		ep.stats.Specs += int64(len(frame))
-		c.mu.Unlock()
+		c.col.Endpoint(ep.name, func(e *telemetry.Endpoint) {
+			e.Dispatched += int64(len(frame))
+			e.Frames++
+			e.Specs += int64(len(frame))
+			e.SnapBytesSent += pushed
+		})
 		// Responses stream back per spec, in request order (a worker may
 		// still group several into one envelope). Finalize each as it
 		// arrives so a session death mid-frame costs only the unanswered
@@ -864,7 +797,7 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 					return frame[answered:], fmt.Errorf("worker replied out of order: got %q, want %q", resp.Key, keys[i])
 				}
 				answered++
-				c.col.RecordLatency(ep.stats.Endpoint, elapsed)
+				c.col.RecordLatency(ep.name, elapsed)
 				r := resp.Result
 				r.Cached = resp.Cached
 				r.Telemetry = resp.Metrics
@@ -899,27 +832,23 @@ func (c *Coordinator) pump(epi int, ep *endpoint, conn Conn, specs int, carried 
 		}
 		if ws != nil {
 			s, rv := ws.WireStats()
-			c.mu.Lock()
-			ep.stats.BytesSent += s - lastSent
-			ep.stats.BytesRecv += rv - lastRecv
-			c.mu.Unlock()
+			c.col.Endpoint(ep.name, func(e *telemetry.Endpoint) {
+				e.BytesSent += s - lastSent
+				e.BytesRecv += rv - lastRecv
+			})
 			lastSent, lastRecv = s, rv
 		}
 	}
 }
 
 // noteSessionFailure records a failed session attempt: the fleet-wide
-// last error (used to annotate jobs no endpoint could take) and, for
-// retry attempts, the endpoint's retry counter.
+// last error (used to annotate jobs no endpoint could take) and, when
+// the failure will be retried, the endpoint's retry counter.
 func (c *Coordinator) noteSessionFailure(ep *endpoint, wasRetry bool, err error) {
 	c.mu.Lock()
 	c.lastErr = err
-	retried := !wasRetry
-	if retried {
-		ep.stats.Retried++
-	}
 	c.mu.Unlock()
-	if retried {
-		c.col.Count(func(cc *telemetry.Counters) { cc.Retries++ })
+	if !wasRetry {
+		c.col.Endpoint(ep.name, func(e *telemetry.Endpoint) { e.Retried++ })
 	}
 }

@@ -6,6 +6,11 @@
 // per-job snapshots back over the wire protocol's "metrics" field,
 // so a remote pool is exactly as observable as an in-process one.
 //
+// A run's collector is the only place its counters are stored: the
+// executor's Stats, the coordinator's EndpointStats, the CLIs' runtime
+// line and -v summary, and the -metrics-out JSON are all read from its
+// Snapshot.
+//
 // Telemetry is observational only: nothing recorded here may influence
 // a simulation's outcome, a canonical cache key, or a cached entry's
 // bytes. Every Collector method is nil-safe — a nil collector records
@@ -61,13 +66,14 @@ type Phase struct {
 	Count   int64   `json:"count"`
 }
 
-// Counters are the run-level event counters. The job-level pair
-// (CacheHits, SimsExecuted) is counted by the executor and reconciles
-// with Executor.Stats by construction: CacheHits == Stats.Hits and
-// SimsExecuted == Stats.Runs. The cache-level trio (mem/disk hits,
-// misses) counts individual cache reads — job results, pretrained
+// Counters are the run-level event counters. The job-level trio
+// (CacheHits, SimsExecuted, JobErrors) is counted by the executor as
+// each result lands, and Executor.Stats reads it back from the same
+// collector, so the two never disagree. The cache-level trio (mem/disk
+// hits, misses) counts individual cache reads — job results, pretrained
 // snapshots and trace artifacts alike — so it may exceed the job-level
-// hit count.
+// hit count. Per-endpoint dispatch counters live in Metrics.Endpoints
+// only; Retries and Failovers are their fleet totals.
 type Counters struct {
 	// CacheHits counts jobs served from the run cache (job-level).
 	CacheHits int64 `json:"cacheHits"`
@@ -94,13 +100,19 @@ type Counters struct {
 	CacheTouchesCoalesced int64 `json:"cacheTouchesCoalesced"`
 	// SimsExecuted counts jobs whose body actually ran (job-level).
 	SimsExecuted int64 `json:"simsExecuted"`
+	// JobErrors counts jobs whose body panicked or that no worker
+	// endpoint could run (job-level; error results are never cached).
+	JobErrors int64 `json:"jobErrors"`
 	// Evictions counts cache entries removed by Prune.
 	Evictions int64 `json:"evictions"`
 	// Retries counts worker sessions that failed and were retried on a
-	// fresh session.
+	// fresh session. It is the sum of the endpoints' Retried, filled in
+	// by Snapshot; nothing counts it directly.
 	Retries int64 `json:"retries"`
 	// Failovers counts jobs a session gave up on (retry budget spent)
-	// and handed back to the fleet for another endpoint to absorb.
+	// and handed back to the fleet for another endpoint to absorb. It is
+	// the sum of the endpoints' Failed, filled in by Snapshot; nothing
+	// counts it directly.
 	Failovers int64 `json:"failovers"`
 	// PretrainRuns counts FedGPO Q-table warm-ups that actually executed
 	// anywhere in the fleet (each warm-up is counted once, by the worker
@@ -108,18 +120,6 @@ type Counters struct {
 	// other counter). Under affinity routing a cold sweep over S
 	// scenarios performs exactly S of them.
 	PretrainRuns int64 `json:"pretrainRuns"`
-	// AffinityHits / AffinityMisses count jobs carrying a pretrain
-	// affinity key that were dispatched at (hits) or away from (misses)
-	// their group's home endpoint.
-	AffinityHits   int64 `json:"affinityHits"`
-	AffinityMisses int64 `json:"affinityMisses"`
-	// StolenJobs counts jobs an endpoint pulled from another endpoint's
-	// assignment (work stealing: dead-endpoint adoption, idle-thief
-	// group adoption, or snapshot-covered singles).
-	StolenJobs int64 `json:"stolenJobs"`
-	// SnapshotBytesShipped counts serialized pretrain-snapshot bytes the
-	// coordinator pre-pushed to workers over the wire.
-	SnapshotBytesShipped int64 `json:"snapshotBytesShipped"`
 }
 
 // Histogram is a log-bucketed latency distribution. Bucket i counts
@@ -180,17 +180,29 @@ func (h Histogram) MeanSeconds() float64 {
 	return h.SumSeconds / float64(h.Count)
 }
 
-// Endpoint is one worker endpoint's dispatch view: the coordinator's
-// counters plus the request round-trip latency histogram (Send of the
-// request to Recv of its response, so it includes the cell's execution
-// time on the worker).
+// Endpoint is one worker endpoint's dispatch counters plus its
+// request round-trip latency histogram. The coordinator records each
+// counter here once, through Collector.Endpoint; runtime.EndpointStats
+// is an alias of this type.
 type Endpoint struct {
-	Endpoint   string `json:"endpoint"`
-	Dispatched int64  `json:"dispatched"`
-	Retried    int64  `json:"retried"`
-	Failed     int64  `json:"failed"`
+	// Endpoint is the transport's name ("stdio:fedgpo-worker",
+	// "tcp:host:port").
+	Endpoint string `json:"endpoint"`
+	// Dispatched counts requests sent to the endpoint, resends
+	// included.
+	Dispatched int64 `json:"dispatched"`
+	// Retried counts session failures that were retried on a fresh
+	// session (the failing session's unanswered jobs are resent;
+	// answered jobs never are).
+	Retried int64 `json:"retried"`
+	// Failed counts jobs this endpoint gave up on after its retry
+	// budget ran out — handed back to the fleet, and surfaced as error
+	// results only when no endpoint could take them.
+	Failed int64 `json:"failed"`
 	// BytesSent / BytesRecv are raw wire bytes through the endpoint's
-	// sessions, handshakes and framing included.
+	// sessions as seen from the coordinator, handshakes and framing
+	// included. Zero for sessions that don't meter (scripted test
+	// conns).
 	BytesSent int64 `json:"bytesSent,omitempty"`
 	BytesRecv int64 `json:"bytesRecv,omitempty"`
 	// Frames counts request frames; Specs counts the specs inside them.
@@ -199,26 +211,18 @@ type Endpoint struct {
 	Frames int64 `json:"frames,omitempty"`
 	Specs  int64 `json:"specs,omitempty"`
 	// AffinityHits / AffinityMisses split the endpoint's
-	// affinity-keyed jobs by whether they ran at their group's home;
-	// Stolen counts jobs this endpoint pulled from another endpoint's
-	// assignment; SnapBytesSent counts pretrain-snapshot bytes
-	// pre-pushed to this endpoint.
-	AffinityHits   int64     `json:"affinityHits,omitempty"`
-	AffinityMisses int64     `json:"affinityMisses,omitempty"`
-	Stolen         int64     `json:"stolen,omitempty"`
-	SnapBytesSent  int64     `json:"snapBytesSent,omitempty"`
-	Latency        Histogram `json:"latency"`
-}
-
-// EndpointCounts carries one endpoint's coordinator-authoritative
-// dispatch counters into SetEndpointCounts — everything in Endpoint
-// except the name and the latency histogram.
-type EndpointCounts struct {
-	Dispatched, Retried, Failed  int64
-	BytesSent, BytesRecv         int64
-	Frames, Specs                int64
-	AffinityHits, AffinityMisses int64
-	Stolen, SnapBytesSent        int64
+	// affinity-keyed jobs by whether they ran at their group's home
+	// (always zero under -route=pull); Stolen counts jobs this endpoint
+	// took from another endpoint's planned share; SnapBytesSent counts
+	// pretrain-snapshot bytes pre-pushed to this endpoint.
+	AffinityHits   int64 `json:"affinityHits,omitempty"`
+	AffinityMisses int64 `json:"affinityMisses,omitempty"`
+	Stolen         int64 `json:"stolen,omitempty"`
+	SnapBytesSent  int64 `json:"snapBytesSent,omitempty"`
+	// Latency is the request round-trip histogram: Send of the request
+	// to Recv of its response, so it includes the cell's execution
+	// time on the worker.
+	Latency Histogram `json:"latency"`
 }
 
 // Metrics is one serializable telemetry snapshot: what the CLIs write
@@ -236,52 +240,20 @@ func (m Metrics) Empty() bool {
 	return len(m.Phases) == 0 && len(m.Endpoints) == 0 && m.Counters == Counters{}
 }
 
-// SetEndpointCounts overwrites one endpoint's dispatch counters,
-// creating the entry if needed — used when folding the coordinator's
-// authoritative EndpointStats into a snapshot so the metrics artifact
-// always reconciles with Executor.Stats.
-func (m *Metrics) SetEndpointCounts(name string, c EndpointCounts) {
-	set := func(ep *Endpoint) {
-		ep.Dispatched = c.Dispatched
-		ep.Retried = c.Retried
-		ep.Failed = c.Failed
-		ep.BytesSent = c.BytesSent
-		ep.BytesRecv = c.BytesRecv
-		ep.Frames = c.Frames
-		ep.Specs = c.Specs
-		ep.AffinityHits = c.AffinityHits
-		ep.AffinityMisses = c.AffinityMisses
-		ep.Stolen = c.Stolen
-		ep.SnapBytesSent = c.SnapBytesSent
-	}
-	for i := range m.Endpoints {
-		if m.Endpoints[i].Endpoint == name {
-			set(&m.Endpoints[i])
-			return
-		}
-	}
-	ep := Endpoint{Endpoint: name}
-	set(&ep)
-	m.Endpoints = append(m.Endpoints, ep)
-	sort.Slice(m.Endpoints, func(i, j int) bool {
-		return m.Endpoints[i].Endpoint < m.Endpoints[j].Endpoint
-	})
-}
-
-// Summary renders a compact human-readable view (fedgpo-report -v).
+// Summary renders a compact human-readable view — the -v output of
+// fedgpo-report and fedgpo-sweep, one line per endpoint.
 func (m Metrics) Summary() string {
 	var b strings.Builder
 	c := m.Counters
-	fmt.Fprintf(&b, "telemetry: %d sims executed, %d cache hits (%d mem / %d payload / %d disk reads, %d misses, %d corrupt), %d evictions, %d retries, %d failovers\n",
+	fmt.Fprintf(&b, "telemetry: %d sims executed, %d cache hits (%d mem / %d payload / %d disk reads, %d misses, %d corrupt), %d job errors, %d evictions, %d retries, %d failovers\n",
 		c.SimsExecuted, c.CacheHits, c.CacheMemHits, c.CachePayloadHits, c.CacheDiskHits,
-		c.CacheMisses, c.CacheCorrupt, c.Evictions, c.Retries, c.Failovers)
+		c.CacheMisses, c.CacheCorrupt, c.JobErrors, c.Evictions, c.Retries, c.Failovers)
 	if c.CacheTouches+c.CacheTouchesCoalesced > 0 {
 		fmt.Fprintf(&b, "  cache touches: %d flushed, %d coalesced\n",
 			c.CacheTouches, c.CacheTouchesCoalesced)
 	}
-	if c.PretrainRuns+c.AffinityHits+c.AffinityMisses+c.StolenJobs+c.SnapshotBytesShipped > 0 {
-		fmt.Fprintf(&b, "  scheduling: %d fleet pretrain runs, %d affinity hits / %d misses, %d stolen, %d snapshot B shipped\n",
-			c.PretrainRuns, c.AffinityHits, c.AffinityMisses, c.StolenJobs, c.SnapshotBytesShipped)
+	if c.PretrainRuns > 0 {
+		fmt.Fprintf(&b, "  pretrain: %d fleet warm-ups executed\n", c.PretrainRuns)
 	}
 	if len(m.Phases) > 0 {
 		names := make([]string, 0, len(m.Phases))
@@ -303,21 +275,27 @@ func (m Metrics) Summary() string {
 	return b.String()
 }
 
-// wireSummary renders the wire-level counters as a summary-line
-// suffix, empty when the endpoint moved no frames (an in-process pool
-// has no wire).
+// wireSummary renders the wire-level view (request frames, realized
+// batch density, raw bytes both ways) when the endpoint moved frames,
+// then the scheduling view (affinity hit rate, stolen jobs, snapshot
+// bytes pushed) when the affinity router placed work there — so an idle
+// endpoint, a pull-route fleet or an in-process pool prints neither.
+// Every steal is also a hit or a miss, so the stolen count always
+// follows an affinity column.
 func (ep Endpoint) wireSummary() string {
 	var s string
 	if ep.Frames > 0 {
 		s = fmt.Sprintf(", %d frames (%.1f specs/frame), %d B sent / %d B recv",
 			ep.Frames, float64(ep.Specs)/float64(ep.Frames), ep.BytesSent, ep.BytesRecv)
 	}
-	if ep.AffinityHits+ep.AffinityMisses+ep.Stolen > 0 {
-		s += fmt.Sprintf(", %d/%d affinity hits, %d stolen",
-			ep.AffinityHits, ep.AffinityHits+ep.AffinityMisses, ep.Stolen)
+	if placed := ep.AffinityHits + ep.AffinityMisses; placed > 0 {
+		s += fmt.Sprintf(", %d/%d affinity hits", ep.AffinityHits, placed)
+		if ep.Stolen > 0 {
+			s += fmt.Sprintf(" (%d stolen)", ep.Stolen)
+		}
 	}
 	if ep.SnapBytesSent > 0 {
-		s += fmt.Sprintf(", %d snap B pushed", ep.SnapBytesSent)
+		s += fmt.Sprintf(", %d B snaps pushed", ep.SnapBytesSent)
 	}
 	return s
 }
@@ -364,24 +342,38 @@ func (c *Collector) Count(fn func(*Counters)) {
 	c.mu.Unlock()
 }
 
-// RecordLatency observes one request round-trip on an endpoint's
-// dispatch latency histogram.
-func (c *Collector) RecordLatency(endpoint string, d time.Duration) {
+// Endpoint mutates one endpoint's entry under the collector's lock,
+// creating it with zero counters first if needed — so calling it with
+// a no-op fn registers an idle endpoint. fn must not block or call
+// back into the collector.
+func (c *Collector) Endpoint(name string, fn func(*Endpoint)) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	ep, ok := c.endpoints[endpoint]
-	if !ok {
-		ep = &Endpoint{Endpoint: endpoint}
-		c.endpoints[endpoint] = ep
-	}
-	ep.Latency.observe(d)
+	fn(c.endpoint(name))
 	c.mu.Unlock()
 }
 
+// RecordLatency observes one request round-trip on an endpoint's
+// dispatch latency histogram.
+func (c *Collector) RecordLatency(endpoint string, d time.Duration) {
+	c.Endpoint(endpoint, func(ep *Endpoint) { ep.Latency.observe(d) })
+}
+
+// endpoint returns name's entry, creating it; c.mu must be held.
+func (c *Collector) endpoint(name string) *Endpoint {
+	ep, ok := c.endpoints[name]
+	if !ok {
+		ep = &Endpoint{Endpoint: name}
+		c.endpoints[name] = ep
+	}
+	return ep
+}
+
 // Add merges a snapshot into the collector: phases and counters sum,
-// endpoint histograms merge by name. It is how a worker's per-job
+// endpoints merge by name (Retries and Failovers follow their
+// endpoints' Retried and Failed). It is how a worker's per-job
 // metrics (carried on the wire) fold into the coordinator's run view.
 func (c *Collector) Add(m Metrics) {
 	if c == nil {
@@ -405,20 +397,11 @@ func (c *Collector) Add(m Metrics) {
 	cc.CacheTouches += mc.CacheTouches
 	cc.CacheTouchesCoalesced += mc.CacheTouchesCoalesced
 	cc.SimsExecuted += mc.SimsExecuted
+	cc.JobErrors += mc.JobErrors
 	cc.Evictions += mc.Evictions
-	cc.Retries += mc.Retries
-	cc.Failovers += mc.Failovers
 	cc.PretrainRuns += mc.PretrainRuns
-	cc.AffinityHits += mc.AffinityHits
-	cc.AffinityMisses += mc.AffinityMisses
-	cc.StolenJobs += mc.StolenJobs
-	cc.SnapshotBytesShipped += mc.SnapshotBytesShipped
 	for _, mep := range m.Endpoints {
-		ep, ok := c.endpoints[mep.Endpoint]
-		if !ok {
-			ep = &Endpoint{Endpoint: mep.Endpoint}
-			c.endpoints[mep.Endpoint] = ep
-		}
+		ep := c.endpoint(mep.Endpoint)
 		ep.Dispatched += mep.Dispatched
 		ep.Retried += mep.Retried
 		ep.Failed += mep.Failed
@@ -436,7 +419,8 @@ func (c *Collector) Add(m Metrics) {
 }
 
 // Snapshot returns a deep copy of the accumulated metrics, with
-// endpoints in name order so the JSON encoding is deterministic.
+// endpoints in name order so the JSON encoding is deterministic and
+// the Retries/Failovers totals summed from the endpoints.
 // A nil collector snapshots to the zero Metrics.
 func (c *Collector) Snapshot() Metrics {
 	if c == nil {
@@ -455,6 +439,8 @@ func (c *Collector) Snapshot() Metrics {
 		cp := *ep
 		cp.Latency.Buckets = append([]int64(nil), ep.Latency.Buckets...)
 		m.Endpoints = append(m.Endpoints, cp)
+		m.Counters.Retries += ep.Retried
+		m.Counters.Failovers += ep.Failed
 	}
 	sort.Slice(m.Endpoints, func(i, j int) bool {
 		return m.Endpoints[i].Endpoint < m.Endpoints[j].Endpoint

@@ -13,6 +13,7 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.RecordPhase(PhaseRounds, time.Second)
 	c.Count(func(cc *Counters) { cc.SimsExecuted++ })
 	c.RecordLatency("tcp:x", time.Millisecond)
+	c.Endpoint("tcp:x", func(ep *Endpoint) { ep.Dispatched++ })
 	c.Add(Metrics{Counters: Counters{CacheHits: 3}})
 	if m := c.Snapshot(); !m.Empty() {
 		t.Fatalf("nil collector snapshot not empty: %+v", m)
@@ -63,10 +64,10 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.observe(time.Microsecond)        // below base -> bucket 0
-	h.observe(time.Millisecond)        // [1ms,2ms) -> bucket 0
-	h.observe(3 * time.Millisecond)    // [2ms,4ms) -> bucket 1
-	h.observe(1000 * time.Hour)        // beyond range -> last bucket
+	h.observe(time.Microsecond)     // below base -> bucket 0
+	h.observe(time.Millisecond)     // [1ms,2ms) -> bucket 0
+	h.observe(3 * time.Millisecond) // [2ms,4ms) -> bucket 1
+	h.observe(1000 * time.Hour)     // beyond range -> last bucket
 	if h.Buckets[0] != 2 || h.Buckets[1] != 1 || h.Buckets[histBuckets-1] != 1 {
 		t.Fatalf("buckets = %v", h.Buckets)
 	}
@@ -75,17 +76,35 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestSetEndpointCounts(t *testing.T) {
-	var m Metrics
-	m.SetEndpointCounts("tcp:b", EndpointCounts{Dispatched: 5, Retried: 1})
-	m.SetEndpointCounts("tcp:a", EndpointCounts{Dispatched: 3, Failed: 1})
-	// Overwrite, not append; wire counters land too.
-	m.SetEndpointCounts("tcp:b", EndpointCounts{Dispatched: 6, Retried: 1, BytesSent: 100, BytesRecv: 200, Frames: 2, Specs: 6})
-	if len(m.Endpoints) != 2 || m.Endpoints[0].Endpoint != "tcp:a" || m.Endpoints[1].Dispatched != 6 {
+// Endpoint registers an entry with zero counters on first use,
+// accumulates into it by name, and merges with latency and wire
+// snapshots; the Retries/Failovers totals are the endpoints' sums.
+func TestCollectorEndpoint(t *testing.T) {
+	c := NewCollector()
+	c.Endpoint("tcp:b", func(*Endpoint) {})
+	c.Endpoint("tcp:a", func(ep *Endpoint) { ep.Dispatched += 3; ep.Failed++ })
+	c.Endpoint("tcp:b", func(ep *Endpoint) { ep.Dispatched += 6; ep.Retried++ })
+	c.Endpoint("tcp:b", func(ep *Endpoint) { ep.BytesSent, ep.BytesRecv, ep.Frames, ep.Specs = 100, 200, 2, 6 })
+	c.RecordLatency("tcp:b", time.Millisecond)
+	c.Endpoint("tcp:idle", func(*Endpoint) {})
+	m := c.Snapshot()
+	if len(m.Endpoints) != 3 || m.Endpoints[0].Endpoint != "tcp:a" || m.Endpoints[1].Dispatched != 6 {
 		t.Fatalf("endpoints = %+v", m.Endpoints)
 	}
-	if ep := m.Endpoints[1]; ep.BytesSent != 100 || ep.BytesRecv != 200 || ep.Frames != 2 || ep.Specs != 6 {
+	if ep := m.Endpoints[1]; ep.BytesSent != 100 || ep.BytesRecv != 200 || ep.Frames != 2 || ep.Specs != 6 || ep.Latency.Count != 1 {
 		t.Fatalf("wire counters lost: %+v", ep)
+	}
+	if idle := m.Endpoints[2]; idle.Endpoint != "tcp:idle" || idle.Dispatched != 0 {
+		t.Fatalf("idle endpoint = %+v", idle)
+	}
+	if m.Counters.Retries != 1 || m.Counters.Failovers != 1 {
+		t.Fatalf("retries/failovers = %d/%d, want the endpoints' 1/1", m.Counters.Retries, m.Counters.Failovers)
+	}
+	// Merging a snapshot into a fresh collector keeps the totals.
+	d := NewCollector()
+	d.Add(m)
+	if got := d.Snapshot(); got.Counters.Retries != 1 || got.Counters.Failovers != 1 || got.Endpoints[1].Dispatched != 6 {
+		t.Fatalf("merged snapshot = %+v", got)
 	}
 }
 
