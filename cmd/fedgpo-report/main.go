@@ -120,7 +120,7 @@ func main() {
 	_ = rt.Close()
 	m := rt.Metrics()
 	fmt.Fprintf(os.Stderr, "runtime: %s backend, %d workers, %d cells simulated, %d served from cache, %d pretrain warm-ups executed\n",
-		rtFlags.Backend, rt.Workers(), m.Counters.SimsExecuted, m.Counters.CacheHits, m.Counters.PretrainRuns)
+		cli.BackendName(rt), rt.Workers(), m.Counters.SimsExecuted, m.Counters.CacheHits, m.Counters.PretrainRuns)
 	if *verbose {
 		fmt.Fprint(os.Stderr, m.Summary())
 	}

@@ -72,7 +72,7 @@ func main() {
 	_ = rt.Close()
 	st := rt.Stats()
 	fmt.Printf("(%s in %.1fs; %s backend, %d workers, %d cells simulated, %d cached)\n",
-		e.ID, time.Since(start).Seconds(), rtFlags.Backend, rt.Workers(), st.Runs, st.Hits)
+		e.ID, time.Since(start).Seconds(), cli.BackendName(rt), rt.Workers(), st.Runs, st.Hits)
 	if err := rtFlags.WriteMetrics(rt); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

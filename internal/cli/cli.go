@@ -176,6 +176,16 @@ func (f *RuntimeFlags) Runtime() (*exp.Runtime, error) {
 	return rt, nil
 }
 
+// BackendName names the execution backend rt was built on, for the
+// CLIs' runtime lines: -workers selects the procs backend even when
+// -backend is left at pool, so the flag value alone can be wrong.
+func BackendName(rt *exp.Runtime) string {
+	if _, ok := rt.Backend().(*runtime.Coordinator); ok {
+		return BackendProcs
+	}
+	return BackendPool
+}
+
 // WriteMetrics writes the runtime's telemetry snapshot to the
 // -metrics-out file (no-op when the flag is unset). Call it after the
 // run's work completes so the snapshot covers everything.

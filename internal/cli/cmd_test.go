@@ -53,10 +53,12 @@ func startPool(t *testing.T) string {
 // -v prints the telemetry summary, which has one line per endpoint:
 // over a 2-endpoint TCP fleet, fedgpo-report and fedgpo-sweep each
 // name every endpoint exactly once on stderr, and the report's runtime
-// line counts the warm-up the fleet executed.
+// line counts the warm-up the fleet executed. -workers alone selects
+// the procs backend, and the runtime lines of fedgpo-report and
+// fedgpo-sim name that backend, not the -backend flag's default.
 func TestVerbosePrintsEachEndpointOnce(t *testing.T) {
 	bin := t.TempDir()
-	out, err := exec.Command("go", "build", "-o", bin, "fedgpo/cmd/fedgpo-report", "fedgpo/cmd/fedgpo-sweep").CombinedOutput()
+	out, err := exec.Command("go", "build", "-o", bin, "fedgpo/cmd/fedgpo-report", "fedgpo/cmd/fedgpo-sweep", "fedgpo/cmd/fedgpo-sim").CombinedOutput()
 	if err != nil {
 		t.Fatalf("building the CLIs: %v\n%s", err, out)
 	}
@@ -81,5 +83,15 @@ func TestVerbosePrintsEachEndpointOnce(t *testing.T) {
 		if name == "fedgpo-report" && !strings.Contains(stderr.String(), ", 1 pretrain warm-ups executed\n") {
 			t.Errorf("fedgpo-report runtime line misses the fleet's one warm-up:\n%s", stderr.String())
 		}
+		if name == "fedgpo-report" && !strings.Contains(stderr.String(), "runtime: procs backend, ") {
+			t.Errorf("fedgpo-report runtime line does not name the procs backend -workers built:\n%s", stderr.String())
+		}
+	}
+	simOut, err := exec.Command(filepath.Join(bin, "fedgpo-sim"), "-exp", "fig5", "-tiny", "-workers", workers).CombinedOutput()
+	if err != nil {
+		t.Fatalf("fedgpo-sim: %v\n%s", err, simOut)
+	}
+	if !strings.Contains(string(simOut), "; procs backend, ") {
+		t.Errorf("fedgpo-sim runtime line does not name the procs backend -workers built:\n%s", simOut)
 	}
 }

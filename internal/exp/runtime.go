@@ -134,6 +134,9 @@ func (r *Runtime) Metrics() telemetry.Metrics { return r.col.Snapshot() }
 // Workers returns the execution backend's parallelism.
 func (r *Runtime) Workers() int { return r.exec.Workers() }
 
+// Backend returns the execution backend the runtime dispatches to.
+func (r *Runtime) Backend() runtime.Backend { return r.exec.Backend() }
+
 // SetInnerParallel has no effect: simulation rounds always run their
 // participant loop serially.
 //
@@ -158,9 +161,8 @@ func (r *Runtime) PretrainStats() (runs, distinct int) {
 // pretrainedSnapshot returns (building at most once per process, and
 // at most once ever under a persistent cache directory) the pretrained
 // FedGPO controller snapshot for a scenario. The snapshot is always
-// served through the content-addressed cache's JSON round-trip, so
-// every consumer sees identical bytes regardless of which cell warmed
-// the cache first.
+// decoded from its cache-payload JSON, so every consumer sees the same
+// values regardless of which cell warmed the cache first.
 func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed int64, warmRounds int, key string) core.Snapshot {
 	r.pretrainMu.Lock()
 	e, ok := r.pretrains[key]
@@ -190,29 +192,30 @@ func (r *Runtime) pretrainedSnapshot(s ScenarioSpec, cfg core.Config, warmSeed i
 			warmCfg := s.Config(warmSeed)
 			warmCfg.MaxRounds = warmRounds
 			snap := core.PretrainSnapshot(cfg, warmCfg)
-			_ = r.cache.Put(key, snap)
-			// Keep the serialized artifact so the first finished job
-			// sharing this key can carry it to the coordinator
-			// for fleet-wide reuse. The bytes match the cache payload
-			// exactly, so a coordinator persisting them writes the entry
-			// this process would have.
-			if data, err := json.Marshal(snap); err == nil {
-				r.pretrainMu.Lock()
-				if r.builtSnaps == nil {
-					r.builtSnaps = make(map[string]json.RawMessage)
-				}
-				r.builtSnaps[key] = data
-				r.pretrainMu.Unlock()
+			// Serialize once: the same bytes become the cache entry, the
+			// snapshot every cell of this process uses, and the artifact
+			// the first finished job sharing this key carries to the
+			// coordinator for fleet-wide reuse — so a coordinator
+			// persisting it writes the entry this process wrote.
+			data, err := json.Marshal(snap)
+			if err != nil {
+				// Not serializable: use it in memory, uncached and unshipped.
+				e.snap = snap
+				return
 			}
-			var cached core.Snapshot
-			if r.cache.Get(key, &cached) {
-				e.snap = cached
+			_ = r.cache.Put(key, json.RawMessage(data))
+			var decoded core.Snapshot
+			if json.Unmarshal(data, &decoded) == nil {
+				e.snap = decoded
 			} else {
-				// Cache write failed; fall back to the in-memory snapshot
-				// (a JSON round-trip is lossless, so behavior is
-				// unchanged).
 				e.snap = snap
 			}
+			r.pretrainMu.Lock()
+			if r.builtSnaps == nil {
+				r.builtSnaps = make(map[string]json.RawMessage)
+			}
+			r.builtSnaps[key] = data
+			r.pretrainMu.Unlock()
 		}()
 	}
 	e.done = true

@@ -468,26 +468,43 @@ func EncodeScenario(s ScenarioSpec) []byte {
 
 // DecodeScenarios parses and validates scenario specs from JSON: a
 // single spec object or an array of them (the -scenario-file format).
+// An array holds at most MaxMatrixScenarios specs; the cap is checked
+// as the array streams in, so a longer file fails before its excess
+// specs are materialized.
 func DecodeScenarios(b []byte) ([]ScenarioSpec, error) {
+	// Scenario files are hand-authored: an unknown (misspelled) field
+	// must fail loudly, not silently resolve to a default and simulate
+	// a deployment the user never wrote.
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	// Decode the form the input actually has, so a malformed object is
 	// reported with its own field error instead of the array
 	// type-mismatch error.
 	var many []ScenarioSpec
-	strict := func(v any) error {
-		// Scenario files are hand-authored: an unknown (misspelled)
-		// field must fail loudly, not silently resolve to a default
-		// and simulate a deployment the user never wrote.
-		dec := json.NewDecoder(bytes.NewReader(b))
-		dec.DisallowUnknownFields()
-		return dec.Decode(v)
-	}
 	if trimmed := bytes.TrimLeft(b, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
 		var one ScenarioSpec
-		if err := strict(&one); err != nil {
+		if err := dec.Decode(&one); err != nil {
 			return nil, fmt.Errorf("exp: scenario spec decode: %w", err)
 		}
 		many = []ScenarioSpec{one}
-	} else if err := strict(&many); err != nil {
+	} else if len(trimmed) > 0 && trimmed[0] == '[' {
+		if _, err := dec.Token(); err != nil {
+			return nil, fmt.Errorf("exp: scenario spec decode: %w", err)
+		}
+		for dec.More() {
+			if len(many) == MaxMatrixScenarios {
+				return nil, fmt.Errorf("exp: scenario file exceeds %d scenarios", MaxMatrixScenarios)
+			}
+			var s ScenarioSpec
+			if err := dec.Decode(&s); err != nil {
+				return nil, fmt.Errorf("exp: scenario spec decode: %w", err)
+			}
+			many = append(many, s)
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, fmt.Errorf("exp: scenario spec decode: %w", err)
+		}
+	} else if err := dec.Decode(&many); err != nil {
 		return nil, fmt.Errorf("exp: scenario spec decode: %w", err)
 	}
 	if len(many) == 0 {

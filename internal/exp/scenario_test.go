@@ -322,6 +322,32 @@ func TestScenarioMatrixRejectsOversizedSpecs(t *testing.T) {
 	}
 }
 
+// A scenario file holds at most MaxMatrixScenarios specs, the same
+// ceiling a -matrix string has.
+func TestDecodeScenariosCapsSpecCount(t *testing.T) {
+	spec, err := json.Marshal(Ideal(workload.CNNMNIST()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := func(n int) []byte {
+		return []byte("[" + strings.TrimSuffix(strings.Repeat(string(spec)+",", n), ",") + "]")
+	}
+	specs, err := DecodeScenarios(file(MaxMatrixScenarios))
+	if err != nil || len(specs) != MaxMatrixScenarios {
+		t.Fatalf("file of exactly %d specs: %d specs, %v", MaxMatrixScenarios, len(specs), err)
+	}
+	tooMany := fmt.Sprintf("exceeds %d scenarios", MaxMatrixScenarios)
+	if _, err := DecodeScenarios(file(MaxMatrixScenarios + 1)); err == nil || !strings.Contains(err.Error(), tooMany) {
+		t.Errorf("file of %d specs: error = %v, want mention of %q", MaxMatrixScenarios+1, err, tooMany)
+	}
+	// The stream still rejects a malformed array.
+	for _, bad := range []string{"[" + string(spec) + ",]", "[" + string(spec), "[1]", "[,]"} {
+		if _, err := DecodeScenarios([]byte(bad)); err == nil {
+			t.Errorf("malformed file %.40q accepted", bad)
+		}
+	}
+}
+
 // The -list-scenarios data source: every preset must be listed, build
 // a valid spec for every workload, and resolve by name.
 func TestPresetsCoverScenarios(t *testing.T) {

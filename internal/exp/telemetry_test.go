@@ -308,11 +308,11 @@ func TestProvenanceMarksMeasuredVersusReplayed(t *testing.T) {
 	}
 	// The tag is in-memory only: cached bytes round-trip without it, so
 	// cold and warm cache entries stay byte-identical.
-	var raw map[string]json.RawMessage
-	if !rt2.cache.Get(telemetrySpecs()[0].Key(), &raw) {
+	var cached runtime.Result
+	if !rt2.cache.Get(telemetrySpecs()[0].Key(), &cached) {
 		t.Fatal("cached cell missing after warm rerun")
 	}
-	if _, ok := raw["provenance"]; ok {
-		t.Error("provenance tag leaked into the cache bytes")
+	if cached.Provenance != "" {
+		t.Errorf("provenance tag %q leaked into the cache bytes", cached.Provenance)
 	}
 }

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +27,11 @@ const (
 	srcCorrupt = iota // a file existed but failed validation; discarded
 )
 
-// Cache is the content-addressed run cache. Without a directory it
-// keeps payloads in an in-memory map of key-hash to JSON; with one,
-// entries live in <dir>/<hash>.binz binary envelopes.
+// Cache is the content-addressed run cache. Payloads are encoded by Go
+// type: a Result through the binary Result codec, any other value as
+// JSON. Without a directory the cache keeps payloads in an in-memory
+// map of key-hash to payload bytes; with one, entries live in
+// <dir>/<hash>.binz binary envelopes.
 // Disk hits pass through a byte-capped decoded-payload LRU so cells
 // re-read within one run cost one file read, and LRU mtime touches are
 // queued and coalesced off the hit path (flushed at executor shutdown,
@@ -38,7 +39,7 @@ const (
 // concurrent use.
 type Cache struct {
 	mu  sync.RWMutex
-	mem map[string][]byte // hash -> payload JSON (memory-only mode)
+	mem map[string][]byte // hash -> payload bytes (memory-only mode)
 	dir string
 	col *telemetry.Collector
 
@@ -81,7 +82,7 @@ func NewCache(dir string) (*Cache, error) {
 // Dir returns the on-disk directory, or "" for a memory-only cache.
 func (c *Cache) Dir() string { return c.dir }
 
-// Get looks the key up and unmarshals the payload into v on a hit.
+// Get looks the key up and decodes the payload into v on a hit.
 func (c *Cache) Get(key string, v any) bool {
 	return c.GetHashed(key, HashKey(key), v)
 }
@@ -122,7 +123,7 @@ func (c *Cache) get(key, hash string, v any) int {
 		if !ok {
 			return srcMiss
 		}
-		if !c.unmarshalPayload(payload, v) {
+		if !c.decodeTimed(payload, v) {
 			return srcCorrupt
 		}
 		return srcMem
@@ -131,11 +132,11 @@ func (c *Cache) get(key, hash string, v any) int {
 	payload, ok := c.payloads.get(hash)
 	c.payloadMu.Unlock()
 	if ok {
-		if c.unmarshalPayload(payload, v) {
+		if c.decodeTimed(payload, v) {
 			c.queueTouch(hash)
 			return srcPayload
 		}
-		// The layer only holds payloads that already unmarshalled once,
+		// The layer only holds payloads that already decoded once,
 		// so this is unreachable short of caller-side type skew; drop the
 		// entry and fall through to disk.
 		c.payloadMu.Lock()
@@ -148,9 +149,13 @@ func (c *Cache) get(key, hash string, v any) int {
 	}
 	// A corrupted or foreign file — truncated, wrong magic, an envelope
 	// whose key does not match (hash collision) — is a miss, not an
-	// error: the cell just re-runs.
+	// error: the cell just re-runs. An older generation's entry is
+	// counted as a plain miss rather than as corruption.
 	payload, ok = decodeBinaryEnvelope(b, key)
-	if !ok || !c.unmarshalPayload(payload, v) {
+	if !ok && staleEnvelope(b) {
+		return srcMiss
+	}
+	if !ok || !c.decodeTimed(payload, v) {
 		return srcCorrupt
 	}
 	c.cachePayload(hash, payload)
@@ -158,11 +163,11 @@ func (c *Cache) get(key, hash string, v any) int {
 	return srcDisk
 }
 
-// unmarshalPayload decodes payload into v under the cacheDecode phase
-// timer, so envelope I/O and JSON decode are separable in a profile.
-func (c *Cache) unmarshalPayload(payload []byte, v any) bool {
+// decodeTimed decodes payload into v under the cacheDecode phase
+// timer, so envelope I/O and payload decode are separable in a profile.
+func (c *Cache) decodeTimed(payload []byte, v any) bool {
 	start := time.Now()
-	err := json.Unmarshal(payload, v)
+	err := decodePayload(payload, v)
 	c.col.RecordPhase(telemetry.PhaseCacheDecode, time.Since(start))
 	return err == nil
 }
@@ -288,7 +293,7 @@ func (c *Cache) Put(key string, v any) error {
 func (c *Cache) PutHashed(key, hash string, v any) error {
 	start := time.Now()
 	defer func() { c.col.RecordPhase(telemetry.PhaseCacheWrite, time.Since(start)) }()
-	payload, err := json.Marshal(v)
+	payload, err := encodePayload(v)
 	if err != nil {
 		return fmt.Errorf("runtime: cache payload: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -15,10 +14,19 @@ import (
 )
 
 // cacheMagic opens every binary cache entry. The format generation is
-// baked into the magic — a future layout change bumps the digit and
-// old readers treat new files as foreign (a miss), never as garbage
-// that parses.
-const cacheMagic = "FGC1"
+// baked into the magic — a layout change bumps the digit and old
+// readers treat new files as foreign (a miss), never as garbage that
+// parses. FGC1 entries carried every payload as JSON; FGC2 carries a
+// Result through the binary Result codec (resultcodec.go).
+const cacheMagic = "FGC2"
+
+// staleEnvelope reports whether b is an entry of an older cache
+// generation — a cell some earlier build cached, to be re-simulated
+// and overwritten like any miss, not counted as corruption.
+func staleEnvelope(b []byte) bool {
+	return len(b) >= len(cacheMagic) && string(b[:3]) == cacheMagic[:3] &&
+		b[3] >= '1' && b[3] < cacheMagic[3]
+}
 
 // binExt names on-disk cache entries. Any other file in the directory
 // — an orphaned put-* temp file aside — is ignored by reads and Prune.
@@ -32,7 +40,7 @@ const maxCacheKeyLen = 1 << 20
 
 // encodeBinaryEnvelope renders one binary cache entry:
 //
-//	"FGC1" | uvarint(len(key)) | key bytes | wire frame(payload)
+//	"FGC2" | uvarint(len(key)) | key bytes | wire frame(payload)
 //
 // The canonical key stays uncompressed so a reader can reject a
 // foreign entry (hash collision, copied file) before inflating a
@@ -94,7 +102,7 @@ func CacheBytesPerCell(results []Result) (float64, error) {
 	}
 	total := 0
 	for _, r := range results {
-		payload, err := json.Marshal(r)
+		payload, err := encodeResult(&r)
 		if err != nil {
 			return 0, err
 		}

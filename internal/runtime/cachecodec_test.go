@@ -148,10 +148,11 @@ func legacyJSONEnvelope(t *testing.T, key string, payload []byte) []byte {
 	return b
 }
 
-// A legacy <hash>.json entry left by an older build is not a cache
-// entry: a rerun over such a directory counts clean misses (not
-// corrupt reads), re-simulates every cell into fresh .binz entries,
-// and leaves the old files alone.
+// Entries left by an older build are not cache entries: a legacy
+// <hash>.json envelope is never read, and an FGC1 .binz envelope
+// (every payload JSON) is an older generation. A rerun over such a
+// directory counts clean misses (not corrupt reads), re-simulates
+// every cell into fresh FGC2 entries, and leaves the .json files alone.
 func TestLegacyJSONCacheEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
@@ -170,8 +171,10 @@ func TestLegacyJSONCacheEntryIsAMiss(t *testing.T) {
 	if NewExecutor(2, cache).RunAll(jobs); runs.Load() != int64(len(jobs)) {
 		t.Fatalf("cold run executed %d cells, want %d", runs.Load(), len(jobs))
 	}
-	// Rewrite every entry in the legacy JSON envelope format.
-	for _, j := range jobs {
+	// Rewrite every entry in an older format: the even cells as legacy
+	// JSON envelopes, the odd ones as FGC1 binary envelopes carrying the
+	// result as JSON.
+	for i, j := range jobs {
 		hash := j.Hash()
 		b, err := os.ReadFile(filepath.Join(dir, hash+binExt))
 		if err != nil {
@@ -181,7 +184,26 @@ func TestLegacyJSONCacheEntryIsAMiss(t *testing.T) {
 		if !ok {
 			t.Fatal("cold entry did not decode")
 		}
-		if err := os.WriteFile(filepath.Join(dir, hash+".json"), legacyJSONEnvelope(t, j.Key(), payload), 0o644); err != nil {
+		var r Result
+		if err := decodeResult(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		jsonPayload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			fgc1, err := encodeBinaryEnvelope(j.Key(), jsonPayload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(fgc1, "FGC1")
+			if err := os.WriteFile(filepath.Join(dir, hash+binExt), fgc1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, hash+".json"), legacyJSONEnvelope(t, j.Key(), jsonPayload), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Remove(filepath.Join(dir, hash+binExt)); err != nil {
@@ -209,10 +231,14 @@ func TestLegacyJSONCacheEntryIsAMiss(t *testing.T) {
 		t.Errorf("rerun counters = %d misses / %d disk hits / %d corrupt, want %d/0/0",
 			c.CacheMisses, c.CacheDiskHits, c.CacheCorrupt, len(jobs))
 	}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		hash := j.Hash()
-		if _, err := os.Stat(filepath.Join(dir, hash+binExt)); err != nil {
-			t.Errorf("entry %s not rewritten as .binz: %v", hash[:8], err)
+		b, err := os.ReadFile(filepath.Join(dir, hash+binExt))
+		if err != nil || !bytes.HasPrefix(b, []byte(cacheMagic)) {
+			t.Errorf("entry %s not rewritten as a %s .binz: %v", hash[:8], cacheMagic, err)
+		}
+		if i%2 == 1 {
+			continue
 		}
 		if _, err := os.Stat(filepath.Join(dir, hash+".json")); err != nil {
 			t.Errorf("legacy file %s touched: %v", hash[:8], err)
@@ -230,12 +256,12 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three binary entries, oldest first, padded to a common size so the
-	// budget arithmetic is exact.
+	// Three padded binary entries, oldest first; the budget is the exact
+	// size of the newest two.
 	pad := bytes.Repeat([]byte("x"), 2048)
 	keys := make([]string, 3)
 	paths := make([]string, 3)
-	var entrySize int64
+	sizes := make([]int64, 3)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("mixed|cell-%d", i)
 		hash := HashKey(keys[i])
@@ -247,7 +273,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entrySize = info.Size()
+		sizes[i] = info.Size()
 		mt := time.Now().Add(time.Duration(i-len(keys)) * time.Hour)
 		if err := os.Chtimes(paths[i], mt, mt); err != nil {
 			t.Fatal(err)
@@ -264,7 +290,7 @@ func TestCachePruneMixedFormats(t *testing.T) {
 	}
 
 	// Budget for exactly the two newest binary entries.
-	removed, err := cache.Prune(2 * entrySize)
+	removed, err := cache.Prune(sizes[1] + sizes[2])
 	if err != nil {
 		t.Fatal(err)
 	}

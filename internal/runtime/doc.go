@@ -115,7 +115,7 @@
 // # Wire protocol
 //
 // Coordinator and worker build from one module and always ship
-// together, so there is exactly one protocol (ProtoVersion, 6) and no
+// together, so there is exactly one protocol (ProtoVersion, 7) and no
 // negotiation. Every message in both directions is one frame of the
 // wire package's binary framing: a 4-byte big-endian length prefix
 // followed by that many bytes of DEFLATE-compressed JSON, bounded on
@@ -124,7 +124,7 @@
 //
 // The worker speaks first. Its first frame is the hello
 //
-//	{"hello": true, "proto": 6, "keyVersion": "v3",
+//	{"hello": true, "proto": 7, "keyVersion": "v3",
 //	 "capacity": N, "cacheDir": "<worker's -cachedir>"}
 //
 // which the coordinator validates before dispatching anything. Any
@@ -133,7 +133,7 @@
 // different key layout would otherwise publish wrong results into the
 // shared cache — and a peer whose first bytes are not a frame (an
 // older build's plain-JSON hello line, an unrelated service on the
-// port) is rejected as not a protocol-6 worker. The advertised
+// port) is rejected as not a protocol-7 worker. The advertised
 // cacheDir decides write-back ownership: results from a worker sharing
 // the coordinator's cache directory arrive marked Persisted (the
 // worker already published them), while results from workers caching
@@ -287,19 +287,38 @@
 // entries live on disk, persisted as <dir>/<hash>.binz binary
 // envelopes:
 //
-//	"FGC1" | uvarint(key length) | canonical key | wire frame(result JSON)
+//	"FGC2" | uvarint(key length) | canonical key | wire frame(payload)
 //
 // The canonical key rides uncompressed ahead of the payload, so a
 // reader rejects a foreign entry (hash collision, copied file) before
 // inflating a byte and on-disk entries stay greppable by key; the
 // payload is one wire-package frame — the same bounded, length-
-// prefixed DEFLATE framing the transport plane uses — which carries a
-// cell's round history in roughly a quarter of its JSON bytes. Writes
+// prefixed DEFLATE framing the transport plane uses. Writes
 // are atomic (temp file + rename, so a crash
 // mid-write can never publish a torn entry). Any malformed file —
 // wrong magic, truncation, a key mismatch — is treated as a miss and
 // the cell re-runs, repairing the entry in place. Results that ended
 // in an error are never cached.
+//
+// The payload is encoded by Go type, on disk and in memory alike. A
+// Result (a cell's summary metrics and round history — nearly every
+// entry) goes through the binary Result codec in resultcodec.go: a
+// 0x01 tag byte (never the start of JSON), floats as IEEE-754 bits,
+// ints as zigzag varints, strings and Extra length-prefixed, History
+// and EnergyByCategory as n+1 (0 = nil) with categories in ascending
+// order. A decoded Result equals its JSON round trip exactly — nil and
+// empty collections stay apart, the json:"-" fields are dropped, and a
+// non-finite float fails the write as json.Marshal would — and the
+// decoder checks every length against the bytes left before it
+// allocates, so a corrupt payload is a corrupt read, never a panic.
+// Every other payload — pretrain snapshots, decision traces, fixed-best
+// selections, eval probes, shipped json.RawMessage artifacts — is JSON.
+//
+// FGC1, the previous generation, held every payload as JSON. An FGC1
+// entry reads as a plain miss (not as corruption): its cell re-runs
+// and the entry is rewritten as FGC2. Wire protocol 7 arrived with
+// FGC2, so a worker sharing the coordinator's cache directory always
+// writes the same generation the coordinator reads.
 //
 // .binz is the only entry format. A <hash>.json envelope left in a
 // directory by a build older than the binary codec is not read: its

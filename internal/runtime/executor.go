@@ -141,7 +141,9 @@ func (e *Executor) count(r Result) {
 // results[i] always belongs to jobs[i], regardless of backend,
 // parallelism or scheduling. Cache hits are served without touching
 // the backend; a job that fails yields a Result with Err set and the
-// remaining jobs are unaffected.
+// remaining jobs are unaffected. Jobs sharing a canonical key run once:
+// every later duplicate gets a copy of the first one's result, counted
+// as a cache hit, and progress still fires once per job.
 func (e *Executor) RunAll(jobs []Job) []Result {
 	results := make([]Result, len(jobs))
 	if len(jobs) == 0 {
@@ -183,16 +185,53 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		hashes[i] = HexHash(HashKeyBytes(keyBuf))
 	}
 
+	// Collapse duplicate keys: uniq lists one job index per distinct
+	// hash (a ForceRun duplicate stands for its group, so the run it
+	// asks for still happens), and dups maps that index to the rest.
+	uniq := make([]int, 0, len(jobs))
+	var dups map[int][]int
+	first := make(map[string]int, len(jobs))
+	for i := range jobs {
+		k, seen := first[hashes[i]]
+		if !seen {
+			first[hashes[i]] = len(uniq)
+			uniq = append(uniq, i)
+			continue
+		}
+		if dups == nil {
+			dups = make(map[int][]int)
+		}
+		if prev := uniq[k]; jobs[i].ForceRun && !jobs[prev].ForceRun {
+			uniq[k] = i
+			dups[i] = append(dups[prev], prev)
+			delete(dups, prev)
+			continue
+		}
+		dups[uniq[k]] = append(dups[uniq[k]], i)
+	}
+	// finish records the result of the job at index i and hands a copy
+	// to each of its duplicates.
+	finish := func(i int, r Result) {
+		e.count(r)
+		report(r)
+		for _, d := range dups[i] {
+			c := r
+			c.Cached, c.Persisted, c.Telemetry, c.Snaps = true, false, nil, nil
+			results[d] = c
+			e.count(c)
+			report(c)
+		}
+	}
+
 	// Serve cache hits first — checked in parallel (a warm disk-cache
 	// rerun is otherwise bottlenecked on serial file reads), reported
 	// in job order.
-	hits := e.cacheHits(jobs, keys, hashes)
-	missIdx := make([]int, 0, len(jobs))
-	for i := range jobs {
-		if hits[i] != nil {
-			results[i] = *hits[i]
-			e.count(results[i])
-			report(results[i])
+	hits := e.cacheHits(jobs, uniq, keys, hashes)
+	missIdx := make([]int, 0, len(uniq))
+	for k, i := range uniq {
+		if hits[k] != nil {
+			results[i] = *hits[k]
+			finish(i, results[i])
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -206,7 +245,7 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 		miss[k] = jobs[i]
 	}
 	out := e.backend.Run(miss, func(k int, r Result) {
-		e.count(r)
+		i := missIdx[k]
 		if e.cache != nil && r.Err == "" && !r.Persisted {
 			// A failed disk write only costs a future re-run. Results a
 			// worker already published to the shared cache directory are
@@ -214,10 +253,9 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 			// multi-hundred-round history on the coordinator would double
 			// the cache-write I/O. With a memory-only cache this Put is
 			// what makes a worker's result visible to this process at all.
-			i := missIdx[k]
 			_ = e.cache.PutHashed(keys[i], hashes[i], r)
 		}
-		report(r)
+		finish(i, r)
 	})
 	for k, i := range missIdx {
 		results[i] = out[k]
@@ -225,47 +263,48 @@ func (e *Executor) RunAll(jobs []Job) []Result {
 	return results
 }
 
-// cacheHits looks every job up in the run cache concurrently and
-// returns the hits by batch index (nil = miss or no cache). keys and
-// hashes are the batch's precomputed canonical keys and content
-// addresses, parallel to jobs. The lookup fan-out respects the
-// backend's configured parallelism — a -parallel 1 run stays
-// single-threaded through warm batches too, lookups (disk read +
-// history unmarshal) included.
-func (e *Executor) cacheHits(jobs []Job, keys, hashes []string) []*Result {
-	hits := make([]*Result, len(jobs))
+// cacheHits looks the jobs at the batch indices idx up in the run
+// cache concurrently and returns the hits parallel to idx (nil = miss
+// or no cache). keys and hashes are the batch's precomputed canonical
+// keys and content addresses, parallel to jobs. The lookup fan-out
+// respects the backend's configured parallelism — a -parallel 1 run
+// stays single-threaded through warm batches too, lookups (disk read +
+// payload decode) included.
+func (e *Executor) cacheHits(jobs []Job, idx []int, keys, hashes []string) []*Result {
+	hits := make([]*Result, len(idx))
 	if e.cache == nil {
 		return hits
 	}
 	workers := e.backend.Workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(idx) {
+		workers = len(idx)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	idx := make(chan int)
+	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for k := range next {
+				i := idx[k]
 				if jobs[i].ForceRun {
 					continue
 				}
 				var cached Result
 				if e.cache.GetHashed(keys[i], hashes[i], &cached) && cached.Err == "" {
 					cached.Cached = true
-					hits[i] = &cached
+					hits[k] = &cached
 				}
 			}
 		}()
 	}
-	for i := range jobs {
-		idx <- i
+	for k := range idx {
+		next <- k
 	}
-	close(idx)
+	close(next)
 	wg.Wait()
 	return hits
 }

@@ -99,15 +99,17 @@ func TestExecutorCacheHitsAndCounts(t *testing.T) {
 	}
 	e := NewExecutor(4, cache)
 	first := e.RunAll(jobs)
-	// Within one batch a duplicated cell may race its twin, so only the
-	// second batch has guaranteed counts.
+	// A duplicated cell runs once per batch; its twin is a copy.
+	if got := e.Stats(); got.Runs != 5 || got.Hits != 5 {
+		t.Errorf("cold stats = %+v, want 5 runs / 5 hits", got)
+	}
 	e2 := NewExecutor(4, cache)
 	second := e2.RunAll(jobs)
 	if got := e2.Stats(); got.Runs != 0 || got.Hits != int64(len(jobs)) {
 		t.Errorf("warm stats = %+v, want 0 runs / %d hits", got, len(jobs))
 	}
-	if executed.Load() > 10 {
-		t.Errorf("cell bodies executed %d times, want <= 10", executed.Load())
+	if executed.Load() != 5 {
+		t.Errorf("cell bodies executed %d times, want 5", executed.Load())
 	}
 	for i := range jobs {
 		if !second[i].Cached {
@@ -229,6 +231,63 @@ func TestCorruptDiskEntryIsDiscardedAndRecomputed(t *testing.T) {
 	// The recompute must have repaired the entry: a third pass is a hit.
 	if res := e.RunAll([]Job{job})[0]; !res.Cached || runs != 2 {
 		t.Errorf("repaired entry should serve a hit (cached=%v, runs=%d)", res.Cached, runs)
+	}
+}
+
+// A key that appears more than once in a batch runs once, with or
+// without a cache: each duplicate slot gets a copy of the result,
+// counted as a cache hit, and progress fires once per job. A ForceRun
+// duplicate stands for its group, so the forced re-run still happens.
+func TestRunAllRunsDuplicateKeysOnce(t *testing.T) {
+	var runs [3]atomic.Int64
+	job := func(i int, force bool) Job {
+		j := simJob(i)
+		j.ForceRun = force
+		inner := j.Run
+		j.Run = func() Result { runs[i].Add(1); return inner() }
+		return j
+	}
+	withCache, _ := NewCache("")
+	for _, cache := range []*Cache{nil, withCache} {
+		for i := range runs {
+			runs[i].Store(0)
+		}
+		jobs := []Job{job(0, false), job(1, false), job(0, false), job(2, false), job(0, false), job(1, false)}
+		e := NewExecutor(4, cache)
+		var events []Progress
+		e.SetProgress(func(p Progress) { events = append(events, p) })
+		rs := e.RunAll(jobs)
+		for i := range runs {
+			if n := runs[i].Load(); n != 1 {
+				t.Errorf("cache=%v: cell %d body ran %d times, want 1", cache != nil, i, n)
+			}
+		}
+		for i, r := range rs {
+			if r.Key != jobs[i].Key() || r.Sim.PPW != rs[[]int{0, 1, 0, 3, 0, 1}[i]].Sim.PPW {
+				t.Errorf("cache=%v: result %d = %+v, want a copy of its key's result", cache != nil, i, r)
+			}
+		}
+		if len(events) != len(jobs) || events[len(events)-1].Done != len(jobs) {
+			t.Errorf("cache=%v: %d progress events, want %d", cache != nil, len(events), len(jobs))
+		}
+		if st := e.Stats(); st.Runs != 3 || st.Hits != 3 {
+			t.Errorf("cache=%v: stats = %+v, want 3 runs / 3 hits", cache != nil, st)
+		}
+	}
+
+	// Warm cache: a plain duplicate and its ForceRun twin share one
+	// forced run of the ForceRun job's body.
+	runs[0].Store(0)
+	plain, forced := job(0, false), job(0, true)
+	var forcedRuns atomic.Int64
+	inner := forced.Run
+	forced.Run = func() Result { forcedRuns.Add(1); return inner() }
+	rs := NewExecutor(2, withCache).RunAll([]Job{plain, forced})
+	if forcedRuns.Load() != 1 || runs[0].Load() != 1 {
+		t.Errorf("ForceRun group ran %d forced / %d total bodies, want 1/1", forcedRuns.Load(), runs[0].Load())
+	}
+	if rs[0].Sim.PPW != rs[1].Sim.PPW {
+		t.Errorf("ForceRun group results differ: %+v vs %+v", rs[0], rs[1])
 	}
 }
 

@@ -16,7 +16,10 @@ import (
 // (length-prefixed, DEFLATE-compressed) whose payload is JSON. Request
 // frames batch several specs into one envelope, responses stream back
 // one spec per frame, and both may carry pretrain snapshots (Snaps).
-const ProtoVersion = 6
+// Version 7 is the first whose workers write FGC2 cache entries, so a
+// worker sharing a cache directory with the coordinator cannot be a
+// build that reads or writes the older entry generation.
+const ProtoVersion = 7
 
 // WireHello is the first frame of every wire session, sent by the
 // worker the moment the session opens — before any request arrives.
